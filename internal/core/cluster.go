@@ -103,6 +103,9 @@ type Cluster struct {
 	// migrateHook, when set (tests only), runs before each path migration and
 	// can fail it — the crash-mid-absorb injection point.
 	migrateHook func(path, src, dst string) error
+	// replicaApplyHook, when set (tests only), runs in a ship attempt between
+	// the replica's member lookup and its apply — the kill-mid-ship point.
+	replicaApplyHook func(replica string)
 }
 
 // NewCluster builds and wires a scale-out deployment.

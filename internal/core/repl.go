@@ -33,8 +33,24 @@ import (
 )
 
 // errMemberDown marks a ship attempt that could not reach its replica
-// because the member is not routable — transient during a failover window.
+// because the member is not routable or is dead — transient during a
+// failover window.
 var errMemberDown = errors.New("core: replica member down")
+
+// onReplica runs one replica-side step on path (apply, catch-up import, row
+// upsert, drop) against dst under dst's per-path replica lock. Members share
+// this process, so a replica killed before or during the step must answer
+// like a dead machine: its failure joins the errMemberDown path instead of
+// surfacing as a repository or archive error.
+func onReplica(dst *FileServer, path string, step func() error) error {
+	unlock := dst.DLFM.LockReplica(path)
+	err := step()
+	unlock()
+	if err != nil && (errors.Is(err, dlfm.ErrServerDown) || !dst.DLFM.Alive()) {
+		return fmt.Errorf("%w: %s: %v", errMemberDown, dst.Name, err)
+	}
+	return err
+}
 
 // replConfig is the cluster's resolved replication policy.
 type replConfig struct {
@@ -178,14 +194,19 @@ func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver
 		if err != nil {
 			return fmt.Errorf("%w: %v", errMemberDown, err)
 		}
-		err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
-		if errors.Is(err, dlfm.ErrReplicaLag) {
-			if cerr := c.catchUpReplica(src, dst, path); cerr != nil {
-				return cerr
-			}
-			err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
+		if c.replicaApplyHook != nil {
+			c.replicaApplyHook(id)
 		}
-		return err
+		return onReplica(dst, path, func() error {
+			err := dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
+			if errors.Is(err, dlfm.ErrReplicaLag) {
+				if err := c.catchUpReplica(src, dst, path); err != nil {
+					return err
+				}
+				err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
+			}
+			return err
+		})
 	})
 }
 
@@ -212,7 +233,7 @@ func (c *Cluster) shipUnlink(owner, path string) error {
 				if err != nil {
 					return fmt.Errorf("%w: %v", errMemberDown, err)
 				}
-				return dst.DLFM.ApplyReplicaUnlink(path)
+				return onReplica(dst, path, func() error { return dst.DLFM.ApplyReplicaUnlink(path) })
 			})
 		if err != nil {
 			if firstErr == nil {
@@ -382,6 +403,7 @@ func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 func (c *Cluster) promotePath(m *FileServer, path string) error {
 	gate := c.router.gate(path)
 	defer c.router.ungate(path, gate)
+	defer m.DLFM.LockReplica(path)()
 	if err := m.DLFM.PromoteReplica(path); err != nil {
 		return err
 	}
@@ -457,7 +479,7 @@ func (c *Cluster) FlushReplication() error {
 				}
 			}
 			if !keep {
-				if err := m.DLFM.DropReplica(p); err != nil && firstErr == nil {
+				if err := onReplica(m, p, func() error { return m.DLFM.DropReplica(p) }); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
@@ -470,20 +492,22 @@ func (c *Cluster) FlushReplication() error {
 // (delta when possible), then the replica row. A replica that ran ahead of a
 // restored owner resyncs from scratch.
 func (c *Cluster) syncReplica(src, dst *FileServer, path string, srcLast int64, mtime time.Time, meta dlfm.ReplicaMeta) error {
-	have := int64(-1)
-	if vs := dst.Archive.Versions(c.authority, path); len(vs) > 0 {
-		have = int64(vs[len(vs)-1].Version)
-	}
-	if have > srcLast {
-		if err := dst.Archive.Drop(c.authority, path); err != nil {
-			return err
+	return onReplica(dst, path, func() error {
+		have := int64(-1)
+		if vs := dst.Archive.Versions(c.authority, path); len(vs) > 0 {
+			have = int64(vs[len(vs)-1].Version)
 		}
-		have = -1
-	}
-	if have < srcLast {
-		if err := c.catchUpReplica(src, dst, path); err != nil {
-			return err
+		if have > srcLast {
+			if err := dst.Archive.Drop(c.authority, path); err != nil {
+				return err
+			}
+			have = -1
 		}
-	}
-	return dst.DLFM.EnsureReplicaRow(path, srcLast, mtime, meta)
+		if have < srcLast {
+			if err := c.catchUpReplica(src, dst, path); err != nil {
+				return err
+			}
+		}
+		return dst.DLFM.EnsureReplicaRow(path, srcLast, mtime, meta)
+	})
 }

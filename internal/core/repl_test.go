@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/dlfm"
 	"datalinks/internal/retry"
 	"datalinks/internal/upcall"
 )
@@ -521,5 +523,60 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 	}
 	if c.router.reg.Counter("repl.failovers").Value() == 0 {
 		t.Fatal("repl.failovers not counted by the probe-driven failover")
+	}
+}
+
+// TestReplicaKilledMidShip kills a replica between the ship attempt's member
+// lookup and its apply. Members share one process, so the dead replica's
+// closed WAL used to panic inside the owner's commit; it must instead answer
+// on the member-down path — an under-replicated close, a classified error —
+// while the owner keeps serving.
+func TestReplicaKilledMidShip(t *testing.T) {
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+		cfg.WriteQuorum = 2
+		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	})
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	c.WaitArchives()
+	set := c.ReplicaSet(p)
+	owner, replica := set[0], set[1]
+	kills := 0
+	c.replicaApplyHook = func(id string) {
+		if id == replica && kills == 0 {
+			kills++
+			if err := c.KillServer(id); err != nil {
+				t.Errorf("kill %s: %v", id, err)
+			}
+		}
+	}
+
+	err := commitUpdate(t, c, 0, "v1 of "+p)
+	if kills != 1 {
+		t.Fatalf("replica killed %d times, want once mid-ship", kills)
+	}
+	if err == nil || !strings.Contains(err.Error(), "under-replicated") {
+		t.Fatalf("commit with its replica killed mid-ship: err = %v, want under-replicated", err)
+	}
+	c.WaitArchives()
+	m, _ := c.Member(owner)
+	if vs := m.Archive.Versions(c.Authority(), p); len(vs) != 2 || string(vs[1].Content()) != "v1 of "+p {
+		t.Fatalf("owner history after the replica died: %d versions", len(vs))
+	}
+
+	// Every replica-side entry point answers the dead member the same way.
+	var retried bool
+	err = c.shipToReplica(context.Background(), owner, replica, p, 2, 0, nil, time.Now(), dlfm.ReplicaMeta{}, &retried)
+	if !errors.Is(err, errMemberDown) {
+		t.Fatalf("commit apply on a dead replica: err = %v, want errMemberDown", err)
+	}
+	if err := c.shipUnlink(owner, p); !errors.Is(err, errMemberDown) {
+		t.Fatalf("unlink apply on a dead replica: err = %v, want errMemberDown", err)
+	}
+	if err := c.FlushReplication(); !errors.Is(err, errMemberDown) {
+		t.Fatalf("catch-up on a dead replica: err = %v, want errMemberDown", err)
+	}
+	if err := commitUpdate(t, c, 0, "v2 of "+p); err == nil || !strings.Contains(err.Error(), "under-replicated") {
+		t.Fatalf("owner after the replica death: err = %v, want an under-replicated but committed close", err)
 	}
 }

@@ -38,16 +38,9 @@ func (s *Server) Upcall(req upcall.Request) (upcall.Response, error) {
 // recover converts the resulting panics for requests that raced the death.
 func (s *Server) UpcallCtx(ctx context.Context, req upcall.Request) (resp upcall.Response, err error) {
 	if !s.Alive() {
-		return upcall.Response{}, fmt.Errorf("dlfm: server %s is down", s.cfg.Name)
+		return upcall.Response{}, s.downErr()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if s.Alive() {
-				panic(r) // a real bug, not a raced death
-			}
-			resp, err = upcall.Response{}, fmt.Errorf("dlfm: server %s died mid-request: %v", s.cfg.Name, r)
-		}
-	}()
+	defer s.survive(&err)
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		c := sp.Child("dlfm")
 		c.SetAttr("op", req.Op.String())

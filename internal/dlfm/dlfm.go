@@ -194,6 +194,8 @@ type openShard struct {
 	syncs     map[string]*syncState
 	opens     map[uint64]*openState
 	takeovers map[string]*takeoverState
+	// replica serializes replica-side work on the shard's paths (LockReplica).
+	replica sync.Mutex
 }
 
 // Server is a DLFM instance. One per file server.
@@ -542,6 +544,29 @@ func (s *Server) Alive() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.closed
+}
+
+// ErrServerDown answers a request to a closed or killed server, the way a
+// dead machine would: a transport-class failure, never a panic in the
+// caller's process.
+var ErrServerDown = errors.New("dlfm: server down")
+
+func (s *Server) downErr() error {
+	return fmt.Errorf("%w: %s", ErrServerDown, s.cfg.Name)
+}
+
+// survive is deferred by every entry point another process (or an
+// in-process cluster peer) calls. Kill closes the repository WAL out from
+// under in-flight requests, and the resulting panic becomes ErrServerDown
+// for requests that raced the death. A panic on a live server is a real bug
+// and propagates.
+func (s *Server) survive(err *error) {
+	if r := recover(); r != nil {
+		if s.Alive() {
+			panic(r)
+		}
+		*err = fmt.Errorf("%w: %s died mid-request: %v", ErrServerDown, s.cfg.Name, r)
+	}
 }
 
 // fileInfo is the decoded dlfm_files row.

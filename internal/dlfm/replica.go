@@ -172,19 +172,30 @@ func (s *Server) FileMeta(path string) (ReplicaMeta, int64, time.Time, error) {
 	return meta, int64(fi.version), attr.Mtime, nil
 }
 
+// LockReplica serializes replica-side work on one path of this server and
+// returns the unlock: a shipped version's apply with its catch-up, the
+// anti-entropy sync, an unlink or prune drop, a promotion. Each is a
+// check-then-act on the path's archive history and replica row. Unserialized,
+// a prune drop landing between an apply's version check and its archive put
+// leaves a history that starts mid-way, which a later failover could promote.
+func (s *Server) LockReplica(path string) (unlock func()) {
+	sh, _ := s.pathShard(path)
+	sh.replica.Lock()
+	return sh.replica.Unlock
+}
+
 // ApplyReplicaCommit lands one shipped version on this server as a replica:
 // the content goes into the archive (a delta against the predecessor this
 // replica already holds), the dlfm_replicas row advances. Idempotent — a
 // re-shipped frame whose ack was lost returns nil without re-applying.
 // ErrReplicaLag means the frame does not directly extend the local history;
-// the shipper must catch this replica up first.
-func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta ReplicaMeta) error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return fmt.Errorf("dlfm: replica apply %s: server %s closed", path, s.cfg.Name)
+// the shipper must catch this replica up first. A dead replica answers
+// ErrServerDown.
+func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta ReplicaMeta) (err error) {
+	if !s.Alive() {
+		return s.downErr()
 	}
+	defer s.survive(&err)
 	if _, linked := s.lookupFile(path); linked {
 		return fmt.Errorf("dlfm: replica apply %s: path is owned by %s", path, s.cfg.Name)
 	}
@@ -213,7 +224,8 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 
 // EnsureReplicaRow upserts the dlfm_replicas row for path at version ver.
 // Rows never move backwards: a stale frame leaves a newer row untouched.
-func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) error {
+func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) (err error) {
+	defer s.survive(&err)
 	if ri, ok := s.replicaRow(path); ok {
 		if ri.version >= ver {
 			return nil
@@ -236,7 +248,8 @@ func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta 
 // ApplyReplicaUnlink removes a replica after the owner unlinked the path:
 // row and archive history both go (unlink semantics — §4.2's unlink restores
 // the file to the user and the database forgets it).
-func (s *Server) ApplyReplicaUnlink(path string) error {
+func (s *Server) ApplyReplicaUnlink(path string) (err error) {
+	defer s.survive(&err)
 	if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
 		return fmt.Errorf("dlfm: replica unlink %s: %w", path, err)
 	}

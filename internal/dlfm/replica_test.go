@@ -293,3 +293,28 @@ func TestUnlinkShips(t *testing.T) {
 		t.Fatalf("unlink ships = %v", fr.unlinks)
 	}
 }
+
+// TestReplicaEntryPointsOnKilledServer: Kill closes the repository WAL, so a
+// replica-side write that starts (or is still running) after the death hits
+// a closed log. Each entry point must answer ErrServerDown, not panic the
+// calling peer's process.
+func TestReplicaEntryPointsOnKilledServer(t *testing.T) {
+	src, srcPhys, _ := newServer(t)
+	linkCommitted(t, src, "/d/f.bin", "rfd")
+	dst, _ := newShardPeer(t)
+	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	meta, ver, mtime, err := src.FileMeta("/d/f.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.Kill()
+	if err := dst.ApplyReplicaCommit("/d/f.bin", ver+1, 0, nil, mtime, meta); !errors.Is(err, ErrServerDown) {
+		t.Fatalf("apply on a killed replica: err = %v, want ErrServerDown", err)
+	}
+	if err := dst.EnsureReplicaRow("/d/f.bin", ver+1, mtime, meta); !errors.Is(err, ErrServerDown) {
+		t.Fatalf("row upsert on a killed replica: err = %v, want ErrServerDown", err)
+	}
+	if err := dst.ApplyReplicaUnlink("/d/f.bin"); !errors.Is(err, ErrServerDown) {
+		t.Fatalf("unlink on a killed replica: err = %v, want ErrServerDown", err)
+	}
+}

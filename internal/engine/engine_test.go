@@ -25,7 +25,12 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	db := sqlmini.NewDB(sqlmini.Options{LockTimeout: 500 * time.Millisecond})
+	return newRigWith(t, sqlmini.Options{LockTimeout: 500 * time.Millisecond})
+}
+
+func newRigWith(t *testing.T, opts sqlmini.Options) *rig {
+	t.Helper()
+	db := sqlmini.NewDB(opts)
 	eng := New(db, Options{})
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)

@@ -88,7 +88,7 @@ func (db *DB) MustExec(sql string, args ...Value) int {
 // Exec runs a DML/DDL statement inside this transaction, returning the
 // number of affected rows.
 func (t *Txn) Exec(sql string, args ...Value) (int, error) {
-	st, err := Parse(sql)
+	st, err := t.db.stmts.parse(sql)
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +114,7 @@ func (t *Txn) Exec(sql string, args ...Value) (int, error) {
 
 // Query runs a SELECT inside this transaction.
 func (t *Txn) Query(sql string, args ...Value) (*Rows, error) {
-	st, err := Parse(sql)
+	st, err := t.db.stmts.parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,8 @@ func (t *Txn) execCreateTable(s *CreateTableStmt) error {
 	if pk > 1 {
 		return fmt.Errorf("sqlmini: at most one PRIMARY KEY column supported")
 	}
-	return t.createTable(s.Name, s.Columns)
+	// The table must not alias the (possibly cached) statement's columns.
+	return t.createTable(s.Name, append([]Column(nil), s.Columns...))
 }
 
 func (t *Txn) execCreateIndex(s *CreateIndexStmt) error {
@@ -244,9 +245,16 @@ func (t *Txn) execInsert(s *InsertStmt, args []Value) (int, error) {
 // matchRows scans tbl, locking each candidate row in `mode`, and returns the
 // ids and rows satisfying the predicate. Uses the PK or a secondary index for
 // simple equality predicates when available.
+//
+// The predicate is evaluated only after the row lock is held. Rows are
+// updated in place before their writer commits, so an unlocked pre-check
+// would read an uncommitted image and could skip a row whose writer later
+// aborts back to a matching value. Without an index this costs one lock per
+// row; the index fast path below is what keeps hot predicates at O(hits).
 func (t *Txn) matchRows(tbl *Table, where Expr, args []Value, mode LockMode) ([]RowID, []Row, error) {
 	var ids []RowID
 	var rows []Row
+	scope := rowEnv(tbl, nil)
 
 	tryRow := func(id RowID) error {
 		if err := t.db.lm.Acquire(t.id, LockTarget{Table: tbl.Name, Row: id}, mode); err != nil {
@@ -258,7 +266,8 @@ func (t *Txn) matchRows(tbl *Table, where Expr, args []Value, mode LockMode) ([]
 		}
 		match := true
 		if where != nil {
-			v, err := t.eval(where, rowEnv(tbl, row), args)
+			scope.rows[0] = row
+			v, err := t.eval(where, scope, args)
 			if err != nil {
 				if errors.Is(err, errNullCompare) {
 					return nil // UNKNOWN predicate = no match
@@ -346,12 +355,13 @@ func (t *Txn) execUpdate(s *UpdateStmt, args []Value) (int, error) {
 	n := 0
 	for i, id := range ids {
 		newRow := rows[i].Clone()
+		scope := rowEnv(tbl, rows[i])
 		for _, set := range s.Set {
 			ci := tbl.ColIndex(set.Column)
 			if ci < 0 {
 				return n, fmt.Errorf("sqlmini: no column %q in %s", set.Column, s.Table)
 			}
-			v, err := t.eval(set.Value, rowEnv(tbl, rows[i]), args)
+			v, err := t.eval(set.Value, scope, args)
 			if err != nil {
 				return n, err
 			}
@@ -391,30 +401,31 @@ func (t *Txn) execDelete(s *DeleteStmt, args []Value) (int, error) {
 	return n, nil
 }
 
-// env is the name→value scope for expression evaluation.
+// env is the scope for expression evaluation: the current row of each table
+// in FROM order. Names resolve by a case-insensitive scan of the schemas, so
+// a scope costs no per-column allocation.
 type env struct {
-	// byName maps unqualified and qualified ("table.col") names to values.
-	byName map[string]Value
+	tables []*Table
+	rows   []Row
 }
 
 func rowEnv(tbl *Table, row Row) *env {
-	e := &env{byName: make(map[string]Value, len(row)*2)}
-	for i, c := range tbl.Columns {
-		e.byName[strings.ToLower(c.Name)] = row[i]
-		e.byName[strings.ToLower(tbl.Name+"."+c.Name)] = row[i]
-	}
-	return e
+	return &env{tables: []*Table{tbl}, rows: []Row{row}}
 }
 
-func mergeEnv(a, b *env) *env {
-	e := &env{byName: make(map[string]Value, len(a.byName)+len(b.byName))}
-	for k, v := range a.byName {
-		e.byName[k] = v
+// lookup resolves a column reference. An unqualified name that several
+// joined tables share resolves to the last of them.
+func (e *env) lookup(c *ColRef) (Value, bool) {
+	for i := len(e.tables) - 1; i >= 0; i-- {
+		tbl := e.tables[i]
+		if c.Table != "" && !strings.EqualFold(c.Table, tbl.Name) {
+			continue
+		}
+		if ci := tbl.ColIndex(c.Name); ci >= 0 {
+			return e.rows[i][ci], true
+		}
 	}
-	for k, v := range b.byName {
-		e.byName[k] = v
-	}
-	return e
+	return Value{}, false
 }
 
 func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
@@ -451,26 +462,26 @@ func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
 	}
 
 	// Build joined environments.
+	tables := make([]*Table, len(sets))
+	for i, set := range sets {
+		tables[i] = set.tbl
+	}
 	var envs []*env
 	var joinedRows [][]Row
-	var build func(i int, acc *env, rowAcc []Row)
-	build = func(i int, acc *env, rowAcc []Row) {
+	var build func(i int, rowAcc []Row)
+	build = func(i int, rowAcc []Row) {
 		if i == len(sets) {
-			envs = append(envs, acc)
 			joined := make([]Row, len(rowAcc))
 			copy(joined, rowAcc)
+			envs = append(envs, &env{tables: tables, rows: joined})
 			joinedRows = append(joinedRows, joined)
 			return
 		}
 		for _, row := range sets[i].rows {
-			e := rowEnv(sets[i].tbl, row)
-			if acc != nil {
-				e = mergeEnv(acc, e)
-			}
-			build(i+1, e, append(rowAcc, row))
+			build(i+1, append(rowAcc, row))
 		}
 	}
-	build(0, nil, nil)
+	build(0, nil)
 
 	// Join-level filtering for multi-table queries.
 	if len(s.Tables) > 1 && s.Where != nil {
@@ -680,11 +691,7 @@ func (t *Txn) eval(e Expr, scope *env, args []Value) (Value, error) {
 		if scope == nil {
 			return Value{}, fmt.Errorf("sqlmini: column %q not allowed here", x.Name)
 		}
-		key := strings.ToLower(x.Name)
-		if x.Table != "" {
-			key = strings.ToLower(x.Table + "." + x.Name)
-		}
-		v, ok := scope.byName[key]
+		v, ok := scope.lookup(x)
 		if !ok {
 			return Value{}, fmt.Errorf("sqlmini: unknown column %q", x.Name)
 		}

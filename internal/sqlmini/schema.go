@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -38,7 +39,12 @@ type Table struct {
 // RowID identifies a row within a table for its whole life.
 type RowID uint64
 
-// newTable builds an empty table for the given schema.
+// newTable builds an empty table for the given schema. Every DATALINK
+// column gets a secondary index here: a file commit updates its host row by
+// `WHERE <datalink col> = ?`, and without the index that predicate scans and
+// locks every row, so commits on disjoint files would serialize. Building it
+// at table construction covers CREATE TABLE, WAL redo and checkpoint restore
+// alike, with no log record of its own.
 func newTable(name string, cols []Column) *Table {
 	t := &Table{
 		Name:      name,
@@ -51,6 +57,9 @@ func newTable(name string, cols []Column) *Table {
 	for i, c := range cols {
 		if c.PrimaryKey {
 			t.pkCol = i
+		}
+		if c.Kind == KindLink {
+			t.secondary[i] = make(map[string]map[RowID]struct{})
 		}
 	}
 	return t
@@ -68,7 +77,7 @@ func (t *Table) ColIndex(name string) int {
 
 // keyString canonicalizes a value for index keys.
 func keyString(v Value) string {
-	return fmt.Sprintf("%d|%s", v.K, v.String())
+	return strconv.Itoa(int(v.K)) + "|" + v.String()
 }
 
 // insertLocked installs a row under a specific id. Caller holds t.mu.

@@ -1,8 +1,6 @@
 package sqlmini
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -49,7 +47,7 @@ const (
 	opDropIndex
 )
 
-// logPayload is the gob-encoded body of RecUpdate/RecCLR records.
+// logPayload is the body of RecUpdate/RecCLR records (layout: logcodec.go).
 type logPayload struct {
 	Op     dmlKind
 	Table  string
@@ -58,20 +56,6 @@ type logPayload struct {
 	After  Row
 	Cols   []Column // DDL only
 	Col    string   // index DDL only: the indexed column
-}
-
-func encodePayload(p logPayload) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		panic(fmt.Sprintf("sqlmini: payload encode: %v", err)) // all types are gob-safe
-	}
-	return buf.Bytes()
-}
-
-func decodePayload(b []byte) (logPayload, error) {
-	var p logPayload
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p)
-	return p, err
 }
 
 // DMLOp tells a DML hook what happened to a row.
@@ -115,6 +99,8 @@ type DB struct {
 	hookMu  sync.RWMutex
 	dmlHook DMLHook
 	fns     map[string]ScalarFn
+
+	stmts stmtCache
 }
 
 // Options configures a DB.
@@ -273,6 +259,7 @@ func (t *Txn) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 var errTxnDone = errors.New("sqlmini: transaction already finished")
 
 // logChange appends an update record with backchain and returns its LSN.
+// The payload is encoded before it returns, so its rows may be the caller's.
 func (t *Txn) logChange(p logPayload) wal.LSN {
 	lsn, err := t.db.log.Append(wal.Record{
 		Type:    wal.RecUpdate,
@@ -328,7 +315,7 @@ func (t *Txn) InsertRow(tbl *Table, r Row) (RowID, error) {
 		tbl.Delete(id)
 		return 0, err
 	}
-	t.logChange(logPayload{Op: opInsert, Table: tbl.Name, Row: id, After: r.Clone()})
+	t.logChange(logPayload{Op: opInsert, Table: tbl.Name, Row: id, After: r})
 	return id, nil
 }
 
@@ -370,7 +357,7 @@ func (t *Txn) UpdateRow(tbl *Table, id RowID, new Row) error {
 	if _, err := tbl.Update(id, new.Clone()); err != nil {
 		return err
 	}
-	t.logChange(logPayload{Op: opUpdate, Table: tbl.Name, Row: id, Before: old, After: new.Clone()})
+	t.logChange(logPayload{Op: opUpdate, Table: tbl.Name, Row: id, Before: old, After: new})
 	return nil
 }
 

@@ -10,6 +10,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -86,7 +87,7 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
 		return fmt.Sprintf("%g", v.F)
 	case KindString:
