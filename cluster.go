@@ -8,73 +8,28 @@ package datalinks
 // internal/core/cluster.go for the protocol.
 
 import (
-	"fmt"
-	"time"
-
 	"datalinks/internal/core"
 	"datalinks/internal/fs"
+	"datalinks/internal/sqlmini"
 )
 
-// ClusterConfig configures a scale-out deployment.
-type ClusterConfig struct {
-	// Authority is the shared file-server name in DATALINK URLs
-	// (dlfs://<authority>/...), valid no matter which member serves a path.
-	// Defaults to "cluster".
-	Authority string
-	// Members configures the initial members; each Name is the member's id on
-	// the ring (it never appears in URLs).
-	Members []ServerConfig
-	// VirtualNodes per member on the ring (0 = the ring default of 128).
-	VirtualNodes int
-	Clock        func() time.Time
-	TokenKey     []byte
-	TokenTTL     time.Duration
-	LockTimeout  time.Duration
-
-	// Replicas is the total number of copies of every path (owner plus ring
-	// successors). 0 or 1 disables replication.
-	Replicas int
-	// WriteQuorum is how many copies (owner included) must acknowledge a
-	// commit before close returns; 0 means all Replicas.
-	WriteQuorum int
-	// ReplicaReads lets reads fall back to a surviving replica while the
-	// owner is unreachable (stale-bounded; off by default).
-	ReplicaReads bool
-	// ProbeInterval enables the member health probe; with AutoFailover a
-	// member found dead is failed over without an operator.
-	ProbeInterval time.Duration
-	AutoFailover  bool
-}
+// ClusterConfig configures a scale-out deployment. It is an alias of
+// core.ClusterConfig, which documents each field.
+type ClusterConfig = core.ClusterConfig
 
 // Cluster is a running scale-out DataLinks deployment.
 type Cluster struct {
+	sqlFacade
 	inner *core.Cluster
 }
 
 // OpenCluster builds a scale-out deployment.
 func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
-	members := make([]core.ServerConfig, len(cfg.Members))
-	for i, s := range cfg.Members {
-		members[i] = toCoreServer(s)
-	}
-	c, err := core.NewCluster(core.ClusterConfig{
-		Authority:     cfg.Authority,
-		Members:       members,
-		VirtualNodes:  cfg.VirtualNodes,
-		Clock:         cfg.Clock,
-		TokenKey:      cfg.TokenKey,
-		TokenTTL:      cfg.TokenTTL,
-		LockTimeout:   cfg.LockTimeout,
-		Replicas:      cfg.Replicas,
-		WriteQuorum:   cfg.WriteQuorum,
-		ReplicaReads:  cfg.ReplicaReads,
-		ProbeInterval: cfg.ProbeInterval,
-		AutoFailover:  cfg.AutoFailover,
-	})
+	c, err := core.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{inner: c}, nil
+	return &Cluster{sqlFacade: sqlFacade{db: func() *sqlmini.DB { return c.DB }}, inner: c}, nil
 }
 
 // Close shuts down every member stack.
@@ -97,7 +52,7 @@ func (c *Cluster) Placements() map[string]int { return c.inner.Placements() }
 
 // AddServer grows the cluster by one member, migrating the paths the ring
 // reassigns to it while commits continue.
-func (c *Cluster) AddServer(sc ServerConfig) error { return c.inner.AddServer(toCoreServer(sc)) }
+func (c *Cluster) AddServer(sc ServerConfig) error { return c.inner.AddServer(sc) }
 
 // RemoveServer drains a member gracefully and shuts its stack down.
 func (c *Cluster) RemoveServer(id string) error { return c.inner.RemoveServer(id) }
@@ -140,61 +95,6 @@ func (c *Cluster) SeedFile(path string, content []byte, owner int32) error {
 
 // WaitArchives drains async archive jobs on every member.
 func (c *Cluster) WaitArchives() { c.inner.WaitArchives() }
-
-// Exec runs a DDL/DML statement with ?-placeholders.
-func (c *Cluster) Exec(sql string, args ...any) (int, error) {
-	vals, err := toValues(args)
-	if err != nil {
-		return 0, err
-	}
-	return c.inner.DB.Exec(sql, vals...)
-}
-
-// MustExec is Exec that panics on error.
-func (c *Cluster) MustExec(sql string, args ...any) int {
-	n, err := c.Exec(sql, args...)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// Query runs a SELECT with ?-placeholders.
-func (c *Cluster) Query(sql string, args ...any) (*Rows, error) {
-	vals, err := toValues(args)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := c.inner.DB.Query(sql, vals...)
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{Cols: rows.Cols}
-	for _, r := range rows.Data {
-		converted := make([]any, len(r))
-		for i, v := range r {
-			converted[i] = fromValue(v)
-		}
-		out.Data = append(out.Data, converted)
-	}
-	return out, nil
-}
-
-// QueryString runs a SELECT expected to return one string value.
-func (c *Cluster) QueryString(sql string, args ...any) (string, error) {
-	rows, err := c.Query(sql, args...)
-	if err != nil {
-		return "", err
-	}
-	if len(rows.Data) != 1 || len(rows.Data[0]) != 1 {
-		return "", fmt.Errorf("datalinks: expected one value, got %dx%d", len(rows.Data), len(rows.Cols))
-	}
-	str, ok := rows.Data[0][0].(string)
-	if !ok {
-		return "", fmt.Errorf("datalinks: value is %T, not string", rows.Data[0][0])
-	}
-	return str, nil
-}
 
 // Session returns an application identity with the given uid. Opens resolve
 // the path's current owner through the ring and fail over once if a

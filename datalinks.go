@@ -44,7 +44,6 @@ package datalinks
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"datalinks/internal/core"
@@ -52,166 +51,30 @@ import (
 	"datalinks/internal/dlfm"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
-	"datalinks/internal/upcall"
 )
 
-// ServerConfig configures one file server of a System.
-type ServerConfig struct {
-	// Name is the file server name used in DATALINK URLs (dlfs://name/...).
-	Name string
-	// UpcallLatency simulates the DLFS-to-DLFM IPC cost per upcall.
-	UpcallLatency time.Duration
-	// UpcallWidth bounds concurrent DLFS-to-DLFM upcalls on this server
-	// (0 = unbounded), modelling a finite IPC channel.
-	UpcallWidth int
-	// ArchiveLatency simulates the archive device per operation.
-	ArchiveLatency time.Duration
-	// Strict enables the strict-link-check extension: an upcall on every
-	// open, closing the link-while-open window at a per-open cost.
-	Strict bool
-	// OpenWait bounds how long opens wait for conflicting opens/archives.
-	OpenWait time.Duration
-	// TCPUpcalls runs the DLFS↔DLFM channel over a real TCP loopback
-	// connection, matching the kernel/daemon process split of the paper.
-	TCPUpcalls bool
-	// UpcallNet tunes the TCP upcall plane — client retry/backoff/deadlines
-	// and circuit breaker, server backpressure limits and drain, optional
-	// fault injection (nil: production defaults).
-	UpcallNet *upcall.NetConfig
-	// ArchiveDir enables the durable archive tier: committed versions'
-	// chunks persist to this directory and only a bounded LRU stays in
-	// memory. Empty keeps the archive memory-only.
-	ArchiveDir string
-	// ArchiveMemoryBudget bounds the archive's in-memory hot-chunk cache in
-	// bytes (<= 0: default). Only meaningful with ArchiveDir set.
-	ArchiveMemoryBudget int64
-	// ArchiveGCInterval runs the background sweeper that unlinks
-	// unreferenced on-disk chunks (0: manual GC only).
-	ArchiveGCInterval time.Duration
-	// ArchiveCheckpointEvery bounds the archive's delta chains: a full
-	// manifest at least every this many versions (<= 0: default of 16).
-	ArchiveCheckpointEvery int
-	// ArchiveCompress flate-compresses spilled archive chunks when that
-	// shrinks them (hashes still verify the uncompressed bytes). Only
-	// meaningful with ArchiveDir set.
-	ArchiveCompress bool
-	// ArchiveFsync selects the archive tier's durability policy: "" or
-	// "none" (rely on the OS flushing — fastest, a power loss can lose the
-	// newest commits' archive copies), "group" (commits are acknowledged
-	// only after an fdatasync, but concurrent committers share flushes —
-	// group commit), or "always" (every append flushes inline). Only
-	// meaningful with ArchiveDir set.
-	ArchiveFsync string
-	// ArchiveFsyncMaxDelay, under "group", lets the group-commit leader wait
-	// this long before flushing so more commits coalesce into one flush.
-	ArchiveFsyncMaxDelay time.Duration
-	// ArchivePackThreshold batches archive blobs at or below this size into
-	// packfiles — many small commits become one sequential append instead of
-	// one file each. 0 uses the default (one 64 KiB chunk, covering tails
-	// and single-chunk deltas); negative disables packing.
-	ArchivePackThreshold int64
-	// QuarantineTTL expires quarantined in-flight versions after this age;
-	// QuarantineGCInterval runs the background quarantine sweeper.
-	QuarantineTTL        time.Duration
-	QuarantineGCInterval time.Duration
-	// RepoDir enables the durable repository plane: the file server's
-	// metadata database logs to CRC-framed WAL segments under this real
-	// directory and periodically snapshots itself to repo.snap, so a fresh
-	// Open over the same directory (plus ArchiveDir) cold-starts the server
-	// after a whole-process kill. Empty keeps the repository in memory.
-	RepoDir string
-	// RepoFsync selects the repository WAL durability policy: "" or "none"
-	// (rely on the OS page cache), "group" (coalesced fdatasyncs), or
-	// "always" (every flush syncs inline). Only meaningful with RepoDir set.
-	RepoFsync string
-	// RepoFsyncMaxDelay, under "group", is the group-commit leader's
-	// coalescing window before it flushes.
-	RepoFsyncMaxDelay time.Duration
-	// RepoCheckpointBytes takes a repository checkpoint after roughly this
-	// many logged bytes (<= 0: 1 MiB).
-	RepoCheckpointBytes int64
-	// Trace enables request-scoped tracing: every top-level operation (open,
-	// read, write, commit/close, link/unlink) records a span tree into a
-	// bounded per-server ring, stitched across the upcall wire under
-	// TCPUpcalls.
-	Trace bool
-	// TraceCapacity bounds the ring of retained completed traces (<= 0: 512).
-	TraceCapacity int
-	// SlowOpThreshold emits any traced operation slower than this as a
-	// one-line JSON slow_op event (span tree included) to SlowOpLog. Setting
-	// it implies tracing even when Trace is false.
-	SlowOpThreshold time.Duration
-	// SlowOpLog receives slow_op events (nil discards them).
-	SlowOpLog io.Writer
-}
+// ServerConfig configures one file server of a System or one member of a
+// Cluster. It is an alias of core.ServerConfig, which documents each field.
+type ServerConfig = core.ServerConfig
 
-// Config configures a System.
-type Config struct {
-	Servers []ServerConfig
-	// Clock injects a time source (tests); nil means time.Now.
-	Clock func() time.Time
-	// TokenKey is the shared secret between engine and DLFMs.
-	TokenKey []byte
-	// TokenTTL is the default access-token lifetime.
-	TokenTTL time.Duration
-	// LockTimeout bounds database lock waits (deadlock resolution).
-	LockTimeout time.Duration
-}
+// Config configures a System. It is an alias of core.Config, which documents
+// each field.
+type Config = core.Config
 
 // System is a running DataLinks deployment.
 type System struct {
+	sqlFacade
 	core *core.System
-}
-
-// toCoreServer converts a public server config to the core layer's.
-func toCoreServer(s ServerConfig) core.ServerConfig {
-	return core.ServerConfig{
-		Name:                   s.Name,
-		UpcallLatency:          s.UpcallLatency,
-		UpcallWidth:            s.UpcallWidth,
-		ArchiveLatency:         s.ArchiveLatency,
-		Strict:                 s.Strict,
-		OpenWait:               s.OpenWait,
-		TCPUpcalls:             s.TCPUpcalls,
-		UpcallNet:              s.UpcallNet,
-		ArchiveDir:             s.ArchiveDir,
-		ArchiveMemoryBudget:    s.ArchiveMemoryBudget,
-		ArchiveGCInterval:      s.ArchiveGCInterval,
-		ArchiveCheckpointEvery: s.ArchiveCheckpointEvery,
-		ArchiveCompress:        s.ArchiveCompress,
-		ArchiveFsync:           s.ArchiveFsync,
-		ArchiveFsyncMaxDelay:   s.ArchiveFsyncMaxDelay,
-		ArchivePackThreshold:   s.ArchivePackThreshold,
-		QuarantineTTL:          s.QuarantineTTL,
-		QuarantineGCInterval:   s.QuarantineGCInterval,
-		RepoDir:                s.RepoDir,
-		RepoFsync:              s.RepoFsync,
-		RepoFsyncMaxDelay:      s.RepoFsyncMaxDelay,
-		RepoCheckpointBytes:    s.RepoCheckpointBytes,
-		Trace:                  s.Trace,
-		TraceCapacity:          s.TraceCapacity,
-		SlowOpThreshold:        s.SlowOpThreshold,
-		SlowOpLog:              s.SlowOpLog,
-	}
 }
 
 // Open builds a System.
 func Open(cfg Config) (*System, error) {
-	servers := make([]core.ServerConfig, len(cfg.Servers))
-	for i, s := range cfg.Servers {
-		servers[i] = toCoreServer(s)
-	}
-	c, err := core.NewSystem(core.Config{
-		Servers:     servers,
-		Clock:       cfg.Clock,
-		TokenKey:    cfg.TokenKey,
-		TokenTTL:    cfg.TokenTTL,
-		LockTimeout: cfg.LockTimeout,
-	})
+	c, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &System{core: c}, nil
+	// RestoreToState and RecoverHost swap c.DB, so read it at call time.
+	return &System{sqlFacade: sqlFacade{db: func() *sqlmini.DB { return c.DB }}, core: c}, nil
 }
 
 // Close shuts the system down, draining background archive jobs.
@@ -287,18 +150,24 @@ type Rows struct {
 	Data [][]any
 }
 
+// sqlFacade is the SQL surface System and Cluster share: Go values in and
+// out, against the host database db returns at call time.
+type sqlFacade struct {
+	db func() *sqlmini.DB
+}
+
 // Exec runs a DDL/DML statement with ?-placeholders, returning affected rows.
-func (s *System) Exec(sql string, args ...any) (int, error) {
+func (q sqlFacade) Exec(sql string, args ...any) (int, error) {
 	vals, err := toValues(args)
 	if err != nil {
 		return 0, err
 	}
-	return s.core.DB.Exec(sql, vals...)
+	return q.db().Exec(sql, vals...)
 }
 
 // MustExec is Exec that panics on error (setup code, examples).
-func (s *System) MustExec(sql string, args ...any) int {
-	n, err := s.Exec(sql, args...)
+func (q sqlFacade) MustExec(sql string, args ...any) int {
+	n, err := q.Exec(sql, args...)
 	if err != nil {
 		panic(err)
 	}
@@ -306,12 +175,12 @@ func (s *System) MustExec(sql string, args ...any) int {
 }
 
 // Query runs a SELECT with ?-placeholders.
-func (s *System) Query(sql string, args ...any) (*Rows, error) {
+func (q sqlFacade) Query(sql string, args ...any) (*Rows, error) {
 	vals, err := toValues(args)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.core.DB.Query(sql, vals...)
+	rows, err := q.db().Query(sql, vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -328,8 +197,8 @@ func (s *System) Query(sql string, args ...any) (*Rows, error) {
 
 // QueryString runs a SELECT expected to return one string value — the
 // common shape for fetching tokenized URLs via DLURLCOMPLETE[WRITE].
-func (s *System) QueryString(sql string, args ...any) (string, error) {
-	rows, err := s.Query(sql, args...)
+func (q sqlFacade) QueryString(sql string, args ...any) (string, error) {
+	rows, err := q.Query(sql, args...)
 	if err != nil {
 		return "", err
 	}
@@ -520,29 +389,7 @@ func (s *System) FileServer(name string) (*FileServer, error) {
 // SeedFile creates (or replaces) a file owned by the given uid — setup
 // convenience for populating a file server before linking.
 func (f *FileServer) SeedFile(path string, content []byte, owner int32) error {
-	dir := path
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			dir = path[:i]
-			break
-		}
-	}
-	if dir != "" {
-		if err := f.inner.Phys.MkdirAll(dir, fs.Cred{UID: fs.Root}, 0o777); err != nil {
-			return err
-		}
-	}
-	if err := f.inner.Phys.WriteFile(path, content); err != nil {
-		return err
-	}
-	ino, err := f.inner.Phys.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if err := f.inner.Phys.Chown(ino, fs.Cred{UID: fs.Root}, fs.UID(owner)); err != nil {
-		return err
-	}
-	return f.inner.Phys.Chmod(ino, fs.Cred{UID: fs.UID(owner)}, 0o644)
+	return f.inner.SeedFile(path, content, fs.UID(owner))
 }
 
 // ReadFile reads a file's content directly (administrative access).

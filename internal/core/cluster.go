@@ -23,32 +23,30 @@ import (
 
 	"datalinks/internal/datalink"
 	"datalinks/internal/dlfm"
-	"datalinks/internal/engine"
 	"datalinks/internal/fs"
 	"datalinks/internal/metrics"
 	"datalinks/internal/obs"
-	"datalinks/internal/retry"
 	"datalinks/internal/ring"
-	"datalinks/internal/sqlmini"
-	"datalinks/internal/upcall"
 )
 
-var clusterRoot = fs.Cred{UID: fs.Root}
-
-// ClusterConfig configures a scale-out deployment.
+// ClusterConfig configures a scale-out deployment. The public
+// datalinks.ClusterConfig is an alias of this type.
 type ClusterConfig struct {
-	// Authority is the file-server name in DATALINK URLs
-	// (dlfs://<authority>/...). Defaults to "cluster".
+	// Authority is the shared file-server name in DATALINK URLs
+	// (dlfs://<authority>/...), valid no matter which member serves a path.
+	// Defaults to "cluster".
 	Authority string
 	// Members configures the initial member stacks; each ServerConfig.Name is
-	// the member id on the ring. At least one member is required.
+	// the member id on the ring (it never appears in URLs). At least one
+	// member is required.
 	Members []ServerConfig
-	// VirtualNodes per member (0 = ring.DefaultVirtualNodes).
+	// VirtualNodes per member on the ring (0 = ring.DefaultVirtualNodes, 128).
 	VirtualNodes int
-	Clock        func() time.Time
-	TokenKey     []byte
-	TokenTTL     time.Duration
-	LockTimeout  time.Duration
+	// Clock, TokenKey, TokenTTL and LockTimeout mean what they mean in Config.
+	Clock       func() time.Time
+	TokenKey    []byte
+	TokenTTL    time.Duration
+	LockTimeout time.Duration
 
 	// Replicas is the total number of copies of every path's archive history
 	// and link row, owner included: the owner plus its Replicas-1 distinct
@@ -66,12 +64,6 @@ type ClusterConfig struct {
 	// behind by at most the commits the owner had not quorum-acked. Off by
 	// default — reads fail until Failover promotes.
 	ReplicaReads bool
-	// ReplRetry shapes per-replica ship retry (zero value = retry defaults).
-	ReplRetry retry.Policy
-	// ReplChaos, when set, injects transport faults into the replication
-	// stream: every ship frame consults Chaos.Strike (drops, resets, delays,
-	// partitions), the same fault model the upcall wire runs under.
-	ReplChaos *upcall.Chaos
 	// ProbeInterval enables the health probe: every interval each member is
 	// checked, and one found dead gets FailServer bookkeeping (plus, with
 	// AutoFailover, a Failover). 0 disables probing.
@@ -83,13 +75,9 @@ type ClusterConfig struct {
 // Cluster is a running scale-out deployment: one host database and engine,
 // N file-server stacks behind a consistent-hash router.
 type Cluster struct {
-	DB     *sqlmini.DB
-	Engine *engine.Engine
+	host
 
 	authority string
-	clock     func() time.Time
-	key       []byte
-	ttl       time.Duration
 	router    *Router
 
 	repl replConfig
@@ -116,16 +104,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("core: cluster needs at least one member")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	if len(cfg.TokenKey) == 0 {
-		cfg.TokenKey = []byte("datalinks-shared-secret")
-	}
-	reg := metrics.NewRegistry()
-	db := sqlmini.NewDB(sqlmini.Options{Clock: cfg.Clock, LockTimeout: cfg.LockTimeout, Metrics: reg})
-	eng := engine.New(db, engine.Options{Clock: cfg.Clock, Metrics: reg})
-
 	ids := make([]string, 0, len(cfg.Members))
 	for _, sc := range cfg.Members {
 		if sc.Name == "" {
@@ -136,8 +114,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	repl := replConfig{
 		n:      cfg.Replicas,
 		quorum: cfg.WriteQuorum,
-		policy: cfg.ReplRetry,
-		chaos:  cfg.ReplChaos,
 		auto:   cfg.AutoFailover,
 		probe:  cfg.ProbeInterval,
 	}
@@ -151,12 +127,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		repl.quorum = repl.n
 	}
 	c := &Cluster{
-		DB:        db,
-		Engine:    eng,
+		host:      newHost(cfg.Clock, cfg.TokenKey, cfg.TokenTTL, cfg.LockTimeout),
 		authority: cfg.Authority,
-		clock:     cfg.Clock,
-		key:       cfg.TokenKey,
-		ttl:       cfg.TokenTTL,
 		router:    newRouter(cfg.Authority, ring.New(cfg.VirtualNodes, ids...)),
 		repl:      repl,
 		deadCfg:   make(map[string]ServerConfig),
@@ -164,7 +136,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.router.replicas = repl.n
 	c.router.replicaReads = cfg.ReplicaReads
 	for _, sc := range cfg.Members {
-		fsrv, err := buildStack(sc, cfg.Authority, cfg.Clock, cfg.TokenKey, cfg.TokenTTL, eng)
+		fsrv, err := c.buildStack(sc, c.authority)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -174,7 +146,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	// One engine connection for the whole authority: the router resolves
 	// which member processes each link.
-	eng.AttachConn(cfg.Authority, c.router, cfg.TokenKey, cfg.TokenTTL)
+	c.Engine.AttachConn(c.authority, c.router, c.key, c.ttl)
 	if repl.probe > 0 {
 		c.probeStop = make(chan struct{})
 		c.probeWG.Add(1)
@@ -225,22 +197,7 @@ func (c *Cluster) SeedFile(path string, content []byte, uid fs.UID) error {
 	if err != nil {
 		return err
 	}
-	if i := lastSlashIdx(path); i > 0 {
-		if err := m.Phys.MkdirAll(path[:i], clusterRoot, 0o777); err != nil {
-			return err
-		}
-	}
-	if err := m.Phys.WriteFile(path, content); err != nil {
-		return err
-	}
-	ino, err := m.Phys.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Phys.Chown(ino, clusterRoot, uid); err != nil {
-		return err
-	}
-	return m.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
+	return m.SeedFile(path, content, uid)
 }
 
 // WaitArchives drains async archiving on every member.
@@ -306,27 +263,8 @@ func (c *Cluster) KillServer(id string) error {
 	if err != nil {
 		return err
 	}
-	m.DLFM.Kill()
-	m.Archive.Crash()
-	if m.tcpClient != nil {
-		m.tcpClient.Close()
-	}
-	if m.tcpServer != nil {
-		m.tcpServer.Close()
-	}
+	killStack(m)
 	return nil
-}
-
-func closeStack(m *FileServer) {
-	m.DLFM.WaitArchives()
-	m.DLFM.Close()
-	m.Archive.Close()
-	if m.tcpClient != nil {
-		m.tcpClient.Close()
-	}
-	if m.tcpServer != nil {
-		m.tcpServer.Close()
-	}
 }
 
 // Metrics aggregates every component registry, including the ring's.
@@ -379,7 +317,7 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 	if _, err := c.router.member(sc.Name); err == nil {
 		return fmt.Errorf("core: member %q already in the cluster", sc.Name)
 	}
-	fsrv, err := buildStack(sc, c.authority, c.clock, c.key, c.ttl, c.Engine)
+	fsrv, err := c.buildStack(sc, c.authority)
 	if err != nil {
 		return err
 	}
@@ -449,23 +387,15 @@ func (c *Cluster) RemoveServer(id string) error {
 	return nil
 }
 
-// FailServer simulates a member machine dying: the DLFM is killed without a
-// checkpoint, the archive drops its volatile state, TCP endpoints close, and
-// the member stops serving. Its durable directories (RepoDir, ArchiveDir)
+// FailServer simulates a member machine dying: KillServer's kill, then the
+// member stops serving. Its durable directories (RepoDir, ArchiveDir)
 // survive for AbsorbDead.
 func (c *Cluster) FailServer(id string) error {
 	m, err := c.router.member(id)
 	if err != nil {
 		return err
 	}
-	m.DLFM.Kill()
-	m.Archive.Crash()
-	if m.tcpClient != nil {
-		m.tcpClient.Close()
-	}
-	if m.tcpServer != nil {
-		m.tcpServer.Close()
-	}
+	killStack(m)
 	c.router.dropMember(id)
 	c.mu.Lock()
 	c.deadCfg[id] = m.cfg
@@ -494,7 +424,7 @@ func (c *Cluster) AbsorbDead(id string) error {
 	// Cold-start the dead member's durable state under a fresh stack. The
 	// RAM file system died with the machine; dlfm.Open's recovery rebuilds
 	// the link set from the WAL and re-materializes contents from the archive.
-	fsrv, err := buildStack(sc, c.authority, c.clock, c.key, c.ttl, c.Engine)
+	fsrv, err := c.buildStack(sc, c.authority)
 	if err != nil {
 		return fmt.Errorf("core: absorb %s: cold start: %w", id, err)
 	}
@@ -552,7 +482,6 @@ func (c *Cluster) rebalanceTo(target *ring.Ring) error {
 			}
 		}
 	}
-	c.router.reg.Counter("ring.rebalance_ms").Add(time.Since(start).Milliseconds())
 	c.router.reg.Histogram("ring.rebalance").Observe(time.Since(start))
 	return nil
 }
@@ -628,13 +557,4 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	}
 	c.router.reg.Counter("ring.moves").Inc()
 	return nil
-}
-
-func lastSlashIdx(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

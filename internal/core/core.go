@@ -30,58 +30,75 @@ import (
 	"datalinks/internal/vfs"
 )
 
-// ServerConfig configures one file server of a System.
+// ServerConfig configures one file server of a System or one member of a
+// Cluster. The public datalinks.ServerConfig is an alias of this type.
 type ServerConfig struct {
+	// Name is the file server name used in DATALINK URLs (dlfs://name/...).
+	// In a Cluster it is the member's id on the ring and never appears in
+	// URLs.
 	Name string
-	// UpcallLatency simulates the DLFS↔DLFM IPC cost (0 = in-process direct).
+	// UpcallLatency simulates the DLFS↔DLFM IPC cost per upcall (0 =
+	// in-process direct).
 	UpcallLatency time.Duration
 	// UpcallWidth bounds concurrent DLFS→DLFM upcalls on this server (0 =
 	// unbounded). The bound encloses UpcallLatency, so it models a finite
 	// IPC channel — per-server capacity that scale-out experiments divide
 	// work across.
 	UpcallWidth int
-	// ArchiveLatency simulates the archive device (§4.4).
+	// ArchiveLatency simulates the archive device per operation (§4.4).
 	ArchiveLatency time.Duration
-	// Strict enables the §4.5 strict-link-check extension on this server.
+	// Strict enables the §4.5 strict-link-check extension on this server: an
+	// upcall on every open, closing the link-while-open window at a per-open
+	// cost.
 	Strict bool
-	// OpenWait bounds DLFM open-approval waits.
+	// OpenWait bounds how long opens wait for conflicting opens/archives.
 	OpenWait time.Duration
 	// TCPUpcalls routes DLFS→DLFM upcalls over a real TCP loopback
 	// connection (gob-encoded), matching the kernel/daemon process split of
 	// Figure 1, instead of direct in-process calls.
 	TCPUpcalls bool
 	// UpcallNet tunes the TCP upcall plane: client retry/backoff/deadlines/
-	// breaker and server backpressure limits, plus an optional Chaos fault
-	// injector (nil: production defaults). With TCPUpcalls unset, only the
-	// Chaos injector applies (wrapped around the in-process service).
+	// breaker and server backpressure limits and drain, plus an optional
+	// Chaos fault injector (nil: production defaults). With TCPUpcalls
+	// unset, only the Chaos injector applies (wrapped around the in-process
+	// service).
 	UpcallNet *upcall.NetConfig
-	// ArchiveDir enables the durable archive tier: sealed chunks persist to
-	// this real directory (hash-addressed) and only a bounded LRU of hot
-	// chunks stays in memory. Empty keeps the archive memory-only.
+	// ArchiveDir enables the durable archive tier: committed versions'
+	// chunks persist to this real directory (hash-addressed) and only a
+	// bounded LRU of hot chunks stays in memory. Empty keeps the archive
+	// memory-only.
 	ArchiveDir string
 	// ArchiveMemoryBudget bounds the archive's hot-chunk LRU in bytes
 	// (<= 0: chunkdisk default). Only meaningful with ArchiveDir set.
 	ArchiveMemoryBudget int64
-	// ArchiveGCInterval runs the archive's background dead-chunk sweeper
-	// this often (0: explicit GCNow only). Only meaningful with ArchiveDir.
+	// ArchiveGCInterval runs the archive's background sweeper that unlinks
+	// unreferenced on-disk chunks this often (0: explicit GCNow only). Only
+	// meaningful with ArchiveDir.
 	ArchiveGCInterval time.Duration
 	// ArchiveCheckpointEvery bounds the archive's delta chains: a full
-	// manifest at least every this many versions (<= 0: the archive default).
+	// manifest at least every this many versions (<= 0: the archive default
+	// of 16).
 	ArchiveCheckpointEvery int
 	// ArchiveCompress flate-compresses spilled archive chunks when that
-	// shrinks them. Only meaningful with ArchiveDir set.
+	// shrinks them (hashes still verify the uncompressed bytes). Only
+	// meaningful with ArchiveDir set.
 	ArchiveCompress bool
 	// ArchiveFsync selects the archive tier's durability policy: "" or
-	// "none" (rely on the OS page cache — the default), "group" (concurrent
-	// committers coalesce behind shared fdatasyncs), or "always" (every
-	// append flushes inline). Only meaningful with ArchiveDir set.
+	// "none" (rely on the OS flushing — the default and fastest; a power
+	// loss can lose the newest commits' archive copies), "group" (commits
+	// are acknowledged only after an fdatasync, but concurrent committers
+	// share flushes — group commit), or "always" (every append flushes
+	// inline). Only meaningful with ArchiveDir set.
 	ArchiveFsync string
-	// ArchiveFsyncMaxDelay, under the group policy, is the group-commit
-	// leader's coalescing window before it flushes.
+	// ArchiveFsyncMaxDelay, under the group policy, lets the group-commit
+	// leader wait this long before flushing so more commits coalesce into
+	// one flush.
 	ArchiveFsyncMaxDelay time.Duration
 	// ArchivePackThreshold batches archive blobs at or below this size into
-	// packfiles (0: the default of one extent chunk; negative: packing
-	// disabled, one file per blob). Only meaningful with ArchiveDir set.
+	// packfiles — many small commits become one sequential append instead
+	// of one file each. 0 uses the default (one 64 KiB extent chunk,
+	// covering tails and single-chunk deltas); negative disables packing,
+	// one file per blob. Only meaningful with ArchiveDir set.
 	ArchivePackThreshold int64
 	// QuarantineTTL expires quarantined in-flight versions after this age
 	// (0: keep forever); QuarantineGCInterval runs the background sweeper
@@ -91,7 +108,9 @@ type ServerConfig struct {
 	// RepoDir enables the durable repository plane: the DLFM repository's
 	// write-ahead log lives in CRC-framed segment files under this real
 	// directory, with periodic checkpoint snapshots (repo.snap) anchoring
-	// restart recovery. Empty keeps the repository WAL in memory.
+	// restart recovery, so a fresh open over the same directory (plus
+	// ArchiveDir) cold-starts the server after a whole-process kill. Empty
+	// keeps the repository WAL in memory.
 	RepoDir string
 	// RepoFsync selects the repository WAL durability policy: "" or "none"
 	// (rely on the OS page cache), "group" (coalesced fdatasyncs), or
@@ -101,7 +120,7 @@ type ServerConfig struct {
 	// leader's coalescing window before it flushes.
 	RepoFsyncMaxDelay time.Duration
 	// RepoCheckpointBytes takes a repository checkpoint after roughly this
-	// many logged bytes (<= 0: the dlfm default).
+	// many logged bytes (<= 0: dlfm.DefaultRepoCheckpointBytes, 1 MiB).
 	RepoCheckpointBytes int64
 	// Trace enables request-scoped tracing on this server: every top-level
 	// operation (open, read, write, commit/close, link/unlink, migration
@@ -119,12 +138,19 @@ type ServerConfig struct {
 	SlowOpLog io.Writer
 }
 
-// Config configures a System.
+// Config configures a System. The public datalinks.Config is an alias of
+// this type.
 type Config struct {
-	Servers     []ServerConfig
-	Clock       func() time.Time
-	TokenKey    []byte
-	TokenTTL    time.Duration
+	// Servers configures the file servers (default: one named "fs1").
+	Servers []ServerConfig
+	// Clock injects a time source (tests); nil means time.Now.
+	Clock func() time.Time
+	// TokenKey is the shared secret between engine and DLFMs (empty: a
+	// built-in development key).
+	TokenKey []byte
+	// TokenTTL is the default access-token lifetime.
+	TokenTTL time.Duration
+	// LockTimeout bounds database lock waits (deadlock resolution).
 	LockTimeout time.Duration
 }
 
@@ -161,13 +187,63 @@ func (f *FileServer) UpcallServer() *upcall.Server { return f.tcpServer }
 // upcalls). Experiments use it for the retry/giveup/breaker counters.
 func (f *FileServer) UpcallClient() *upcall.Client { return f.tcpClient }
 
+// SeedFile creates (or replaces) an unlinked file owned by uid with mode
+// 0644, creating its parent directories — setup for populating a file
+// server before linking.
+func (f *FileServer) SeedFile(path string, content []byte, uid fs.UID) error {
+	root := fs.Cred{UID: fs.Root}
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		if err := f.Phys.MkdirAll(path[:i], root, 0o777); err != nil {
+			return err
+		}
+	}
+	if err := f.Phys.WriteFile(path, content); err != nil {
+		return err
+	}
+	ino, err := f.Phys.Lookup(path)
+	if err != nil {
+		return err
+	}
+	if err := f.Phys.Chown(ino, root, uid); err != nil {
+		return err
+	}
+	return f.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
+}
+
+// host is the database half every deployment shares — the host SQL database
+// and the DataLinks engine over it — plus the settings each file server's
+// DLFM is built with. System and Cluster embed it.
+type host struct {
+	DB     *sqlmini.DB
+	Engine *engine.Engine
+	clock  func() time.Time
+	key    []byte
+	ttl    time.Duration
+}
+
+// newHost fills in the defaults System and Cluster share and builds the host
+// database and engine.
+func newHost(clock func() time.Time, key []byte, ttl, lockTimeout time.Duration) host {
+	if clock == nil {
+		clock = time.Now
+	}
+	if len(key) == 0 {
+		key = []byte("datalinks-shared-secret")
+	}
+	reg := metrics.NewRegistry()
+	db := sqlmini.NewDB(sqlmini.Options{Clock: clock, LockTimeout: lockTimeout, Metrics: reg})
+	return host{
+		DB:     db,
+		Engine: engine.New(db, engine.Options{Clock: clock, Metrics: reg}),
+		clock:  clock,
+		key:    key,
+		ttl:    ttl,
+	}
+}
+
 // System is a running DataLinks deployment.
 type System struct {
-	DB      *sqlmini.DB
-	Engine  *engine.Engine
-	clock   func() time.Time
-	key     []byte
-	ttl     time.Duration
+	host
 	mu      sync.Mutex
 	servers map[string]*FileServer
 }
@@ -177,21 +253,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(cfg.Servers) == 0 {
 		cfg.Servers = []ServerConfig{{Name: "fs1"}}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	if len(cfg.TokenKey) == 0 {
-		cfg.TokenKey = []byte("datalinks-shared-secret")
-	}
-	reg := metrics.NewRegistry()
-	db := sqlmini.NewDB(sqlmini.Options{Clock: cfg.Clock, LockTimeout: cfg.LockTimeout, Metrics: reg})
-	eng := engine.New(db, engine.Options{Clock: cfg.Clock, Metrics: reg})
 	sys := &System{
-		DB:      db,
-		Engine:  eng,
-		clock:   cfg.Clock,
-		key:     cfg.TokenKey,
-		ttl:     cfg.TokenTTL,
+		host:    newHost(cfg.Clock, cfg.TokenKey, cfg.TokenTTL, cfg.LockTimeout),
 		servers: make(map[string]*FileServer),
 	}
 	for _, sc := range cfg.Servers {
@@ -204,7 +267,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 // addServer constructs one file server stack and attaches it to the engine.
 func (sys *System) addServer(sc ServerConfig) (*FileServer, error) {
-	fsrv, err := buildStack(sc, sc.Name, sys.clock, sys.key, sys.ttl, sys.Engine)
+	fsrv, err := sys.buildStack(sc, sc.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -220,8 +283,7 @@ func (sys *System) addServer(sc ServerConfig) (*FileServer, error) {
 // dlfmName is the name the DLFM registers under — a System passes the
 // server's own name, a Cluster passes the shared authority so DATALINK URLs,
 // archive keys, and host metadata stay identical across members.
-func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []byte, ttl time.Duration, host dlfm.Host) (*FileServer, error) {
-	phys := fs.NewWithClock(clock)
+func (h *host) buildStack(sc ServerConfig, dlfmName string) (*FileServer, error) {
 	fsyncPolicy, err := fsyncer.ParsePolicy(sc.ArchiveFsync)
 	if err != nil {
 		return nil, fmt.Errorf("core: server %s: %w", sc.Name, err)
@@ -229,19 +291,20 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 	// One registry per server, shared between DLFM and the archive tier so
 	// the fsync/pack counters surface next to the upcall/archive ones.
 	reg := metrics.NewRegistry()
-	var tracer *obs.Tracer
+	fsrv := &FileServer{Name: sc.Name, Phys: fs.NewWithClock(h.clock), cfg: sc}
+	fsrv.NativeLFS = vfs.NewLFS(vfs.NewPassthrough(fsrv.Phys))
 	if sc.Trace || sc.SlowOpThreshold > 0 {
 		var slowLog *obs.Logger
 		if sc.SlowOpLog != nil {
 			slowLog = obs.NewLogger(sc.SlowOpLog, obs.LevelDebug)
 		}
-		tracer = obs.New(obs.Config{
+		fsrv.Obs = obs.New(obs.Config{
 			Capacity:        sc.TraceCapacity,
 			SlowOpThreshold: sc.SlowOpThreshold,
 			Log:             slowLog,
 		})
 	}
-	arch, err := archive.NewTiered(sc.ArchiveLatency, clock, archive.TierConfig{
+	fsrv.Archive, err = archive.NewTiered(sc.ArchiveLatency, h.clock, archive.TierConfig{
 		Dir:             sc.ArchiveDir,
 		MemoryBudget:    sc.ArchiveMemoryBudget,
 		GCInterval:      sc.ArchiveGCInterval,
@@ -255,20 +318,38 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 	if err != nil {
 		return nil, err
 	}
+	dcfg, err := h.dlfmConfig(fsrv, dlfmName, reg)
+	if err == nil {
+		fsrv.DLFM, fsrv.Recovery, err = dlfm.Open(dcfg)
+	}
+	if err == nil {
+		err = wireUpcallPlane(fsrv)
+	}
+	if err != nil {
+		fsrv.Archive.Close()
+		return nil, err
+	}
+	return fsrv, nil
+}
+
+// dlfmConfig is the one translation from a file server's config to its
+// DLFM's: cold start (buildStack) and crash recovery (CrashAndRecoverServer)
+// both use it. reg is the server's registry, shared with its archive tier.
+func (h *host) dlfmConfig(f *FileServer, dlfmName string, reg *metrics.Registry) (dlfm.Config, error) {
+	sc := f.cfg
 	repoFsync, err := fsyncer.ParsePolicy(sc.RepoFsync)
 	if err != nil {
-		arch.Close()
-		return nil, fmt.Errorf("core: server %s: %w", sc.Name, err)
+		err = fmt.Errorf("core: server %s: %w", sc.Name, err)
 	}
-	srv, recovery, err := dlfm.Open(dlfm.Config{
+	return dlfm.Config{
 		Name:                dlfmName,
-		Phys:                phys,
-		Archive:             arch,
-		Host:                host,
-		TokenKey:            key,
-		Clock:               clock,
+		Phys:                f.Phys,
+		Archive:             f.Archive,
+		Host:                h.Engine,
+		TokenKey:            h.key,
+		Clock:               h.clock,
 		OpenWait:            sc.OpenWait,
-		TokenTTL:            ttl,
+		TokenTTL:            h.ttl,
 		QuarantineTTL:       sc.QuarantineTTL,
 		GCInterval:          sc.QuarantineGCInterval,
 		Metrics:             reg,
@@ -276,27 +357,8 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 		RepoFsync:           repoFsync,
 		RepoFsyncMaxDelay:   sc.RepoFsyncMaxDelay,
 		RepoCheckpointBytes: sc.RepoCheckpointBytes,
-		Tracer:              tracer,
-	})
-	if err != nil {
-		arch.Close()
-		return nil, err
-	}
-	fsrv := &FileServer{
-		Name:      sc.Name,
-		Phys:      phys,
-		Archive:   arch,
-		DLFM:      srv,
-		NativeLFS: vfs.NewLFS(vfs.NewPassthrough(phys)),
-		Obs:       tracer,
-		Recovery:  recovery,
-		cfg:       sc,
-	}
-	if err := wireUpcallPlane(fsrv, srv, sc); err != nil {
-		arch.Close()
-		return nil, err
-	}
-	return fsrv, nil
+		Tracer:              f.Obs,
+	}, err
 }
 
 // wireUpcallPlane attaches the DLFS↔DLFM upcall channel to a file server:
@@ -305,7 +367,8 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 // server with graceful drain) when the config asks for the daemon
 // deployment. One registry is shared by the client, the server, and the
 // measuring transport so the resilience counters surface together.
-func wireUpcallPlane(fsrv *FileServer, srv *dlfm.Server, sc ServerConfig) error {
+func wireUpcallPlane(fsrv *FileServer) error {
+	sc, srv := fsrv.cfg, fsrv.DLFM
 	upReg := metrics.NewRegistry()
 	var netCfg upcall.NetConfig
 	if sc.UpcallNet != nil {
@@ -382,15 +445,7 @@ func (sys *System) Close() {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
 	for _, s := range sys.servers {
-		s.DLFM.WaitArchives()
-		s.DLFM.Close()
-		s.Archive.Close()
-		if s.tcpClient != nil {
-			s.tcpClient.Close()
-		}
-		if s.tcpServer != nil {
-			s.tcpServer.Close()
-		}
+		closeStack(s)
 	}
 }
 
@@ -405,22 +460,45 @@ func (sys *System) Crash() {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
 	for _, s := range sys.servers {
-		s.DLFM.Kill()
-		s.Archive.Crash()
-		if s.tcpClient != nil {
-			s.tcpClient.Close()
-		}
-		if s.tcpServer != nil {
-			s.tcpServer.Close()
-		}
+		killStack(s)
 	}
 	sys.servers = make(map[string]*FileServer)
+}
+
+// closeStack shuts one file server down cleanly: archive jobs drain, the
+// DLFM checkpoints and closes, then the archive and the TCP endpoints close.
+func closeStack(m *FileServer) {
+	m.DLFM.WaitArchives()
+	m.DLFM.Close()
+	m.Archive.Close()
+	m.closeEndpoints()
+}
+
+// killStack drops one file server on the floor like a machine death: the
+// DLFM dies without a checkpoint, the archive loses its volatile state, and
+// the TCP endpoints close. Durable directories survive.
+func killStack(m *FileServer) {
+	m.DLFM.Kill()
+	m.Archive.Crash()
+	m.closeEndpoints()
+}
+
+// closeEndpoints closes the server's TCP upcall client and daemon (a no-op
+// for in-process upcalls).
+func (f *FileServer) closeEndpoints() {
+	if f.tcpClient != nil {
+		f.tcpClient.Close()
+	}
+	if f.tcpServer != nil {
+		f.tcpServer.Close()
+	}
 }
 
 // CrashAndRecoverServer simulates a crash of one file server machine and
 // runs DLFM restart recovery (§4.2/§4.4): in-flight updates roll back to
 // the last committed version, in-doubt sub-transactions resolve against the
-// host, pending archives complete.
+// host, pending archives complete. The disk, the archive, the trace ring and
+// the metrics registry survive the crash.
 func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, error) {
 	sys.mu.Lock()
 	old, ok := sys.servers[name]
@@ -430,46 +508,25 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 	}
 	durable := old.DLFM.CrashRepo()
 	// The crash also kills the daemon's TCP endpoints.
-	if old.tcpClient != nil {
-		old.tcpClient.Close()
-	}
-	if old.tcpServer != nil {
-		old.tcpServer.Close()
-	}
-	repoFsync, err := fsyncer.ParsePolicy(old.cfg.RepoFsync)
-	if err != nil {
-		return nil, fmt.Errorf("core: server %s: %w", name, err)
-	}
-	srv, rep, err := dlfm.Recover(dlfm.Config{
-		Name:                name,
-		Phys:                old.Phys, // the disk survives
-		Archive:             old.Archive,
-		Host:                sys.Engine,
-		TokenKey:            sys.key,
-		Clock:               sys.clock,
-		OpenWait:            old.cfg.OpenWait,
-		TokenTTL:            sys.ttl,
-		QuarantineTTL:       old.cfg.QuarantineTTL,
-		GCInterval:          old.cfg.QuarantineGCInterval,
-		RepoDir:             old.cfg.RepoDir,
-		RepoFsync:           repoFsync,
-		RepoFsyncMaxDelay:   old.cfg.RepoFsyncMaxDelay,
-		RepoCheckpointBytes: old.cfg.RepoCheckpointBytes,
-		Tracer:              old.Obs, // the ring of past traces survives the crash
-	}, durable)
-	if err != nil {
-		return nil, err
-	}
+	old.closeEndpoints()
 	fresh := &FileServer{
 		Name:      name,
 		Phys:      old.Phys,
 		Archive:   old.Archive,
-		DLFM:      srv,
 		NativeLFS: old.NativeLFS,
 		Obs:       old.Obs,
 		cfg:       old.cfg,
 	}
-	if err := wireUpcallPlane(fresh, srv, old.cfg); err != nil {
+	dcfg, err := sys.dlfmConfig(fresh, name, old.DLFM.Metrics())
+	if err != nil {
+		return nil, err
+	}
+	srv, rep, err := dlfm.Recover(dcfg, durable)
+	if err != nil {
+		return nil, err
+	}
+	fresh.DLFM = srv
+	if err := wireUpcallPlane(fresh); err != nil {
 		return nil, err
 	}
 	sys.mu.Lock()

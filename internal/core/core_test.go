@@ -470,6 +470,55 @@ func TestCrashRecoveryKeepsCommittedUpdate(t *testing.T) {
 	}
 }
 
+// TestCrashAndRecoverServerKeepsRegistry checks that a recovered DLFM keeps
+// the server's one registry: counters from before the crash stay visible, and
+// the archive tier still reports into the registry DLFM.Metrics returns.
+func TestCrashAndRecoverServerKeepsRegistry(t *testing.T) {
+	sys, err := NewSystem(Config{
+		Servers:     []ServerConfig{{Name: "fs1", OpenWait: 300 * time.Millisecond, ArchiveDir: t.TempDir()}},
+		LockTimeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("new system: %v", err)
+	}
+	defer sys.Close()
+	srv, _ := sys.Server("fs1")
+	if err := srv.SeedFile("/movies/clip1.mpg", []byte("v0 content"), alice); err != nil {
+		t.Fatal(err)
+	}
+	sys.DB.MustExec(`CREATE TABLE movies (id INT PRIMARY KEY, clip DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB.MustExec(`INSERT INTO movies (id, clip) VALUES (1, DLVALUE('dlfs://fs1/movies/clip1.mpg'))`)
+	srv.DLFM.WaitArchives()
+	reg := srv.DLFM.Metrics()
+	reg.Counter("test.before_crash").Add(7)
+
+	if _, err := sys.CrashAndRecoverServer("fs1"); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	srv, _ = sys.Server("fs1")
+	if srv.DLFM.Metrics() != reg {
+		t.Fatal("recovered DLFM has a new registry, not the server's")
+	}
+	if got := srv.DLFM.Metrics().Counter("test.before_crash").Value(); got != 7 {
+		t.Fatalf("counter set before the crash reads %d after it, want 7", got)
+	}
+	appends := reg.Counter("chunkdisk.pack.appends").Value()
+	f, err := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+	if err != nil {
+		t.Fatalf("open after recovery: %v", err)
+	}
+	if err := f.WriteAll([]byte("v1 after recovery")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("commit after recovery: %v", err)
+	}
+	srv.DLFM.WaitArchives()
+	if got := srv.DLFM.Metrics().Counter("chunkdisk.pack.appends").Value(); got <= appends {
+		t.Fatalf("archive pack appends in DLFM.Metrics() stayed at %d across a commit: the archive reports elsewhere", got)
+	}
+}
+
 func TestPointInTimeRestore(t *testing.T) {
 	sys, srv := newSys(t, "rdd")
 	sess := sys.NewSession(alice)

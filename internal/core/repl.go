@@ -54,12 +54,29 @@ func onReplica(dst *FileServer, path string, step func() error) error {
 
 // replConfig is the cluster's resolved replication policy.
 type replConfig struct {
-	n      int          // total copies per path, owner included (<=1: off)
-	quorum int          // acks (owner included) required per commit
-	policy retry.Policy // per-replica ship retry
-	chaos  *upcall.Chaos
+	n      int           // total copies per path, owner included (<=1: off)
+	quorum int           // acks (owner included) required per commit
 	auto   bool          // run Failover automatically when the probe sees a death
 	probe  time.Duration // health-probe interval (0: no probe)
+
+	// policy and chaos are test hooks, set on a fresh cluster before its
+	// first link; production leaves both zero. policy shapes per-replica ship
+	// retry (zero value = retry defaults). chaos injects transport faults into
+	// the replication stream: every ship attempt consults Chaos.Strike (drops,
+	// resets, delays, partitions), the fault model the upcall wire runs under.
+	policy retry.Policy
+	chaos  *upcall.Chaos
+}
+
+// classifyShip decides whether a failed ship attempt is worth repeating. A
+// replica that refuses the frame because it owns the path will refuse every
+// retry too; everything else — a member down mid-failover, a dropped or
+// reset frame, a lagging replica — may clear within the retry budget.
+func classifyShip(err error) retry.Class {
+	if errors.Is(err, dlfm.ErrReplicaOwned) {
+		return retry.Permanent
+	}
+	return retry.Retryable
 }
 
 // shardReplicator is the dlfm.Replicator one member's commit path calls. It
@@ -145,7 +162,6 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		sp.End()
 	}
 	if reg != nil {
-		reg.Counter("repl.ship_ms").Add(time.Since(start).Milliseconds())
 		reg.Histogram("repl.ship").Observe(time.Since(start))
 		if retried {
 			reg.Counter("repl.quorum_waits").Inc()
@@ -174,13 +190,7 @@ func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver
 			prevOnRetry(attempt, err, delay)
 		}
 	}
-	classify := func(err error) retry.Class {
-		// Transport-class faults (chaos drops/resets/partitions) and a member
-		// mid-failover are worth re-attempting; everything else too — the
-		// attempts are bounded and a replica that just restarted may accept.
-		return retry.Retryable
-	}
-	return retry.Do(ctx, p, classify, func(ctx context.Context) error {
+	return retry.Do(ctx, p, classifyShip, func(ctx context.Context) error {
 		if ch := c.repl.chaos; ch != nil {
 			if err := ch.Strike(); err != nil {
 				return err
@@ -222,7 +232,7 @@ func (c *Cluster) shipUnlink(owner, path string) error {
 	var firstErr error
 	for _, id := range targets {
 		id := id
-		err := retry.Do(context.Background(), cfg.policy, func(error) retry.Class { return retry.Retryable },
+		err := retry.Do(context.Background(), cfg.policy, classifyShip,
 			func(context.Context) error {
 				if ch := cfg.chaos; ch != nil {
 					if err := ch.Strike(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/datalink"
 	"datalinks/internal/dlfm"
 	"datalinks/internal/retry"
 	"datalinks/internal/upcall"
@@ -116,11 +117,9 @@ func TestReplicationShipsOnCommit(t *testing.T) {
 
 func TestReplicationRetriesThroughChaos(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 42, DropProb: 0.2, ResetProb: 0.1}
-	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
-		cfg.WriteQuorum = 2
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	})
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 })
+	c.repl.chaos = chaos
+	c.repl.policy = retry.Policy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	paths := clusterPaths(6)
 	for i, p := range paths {
 		linkDoc(t, c, i, p, "v0 of "+p)
@@ -148,11 +147,9 @@ func TestReplicationRetriesThroughChaos(t *testing.T) {
 
 func TestPartitionFailsQuorumWithoutRollback(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 7}
-	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
-		cfg.WriteQuorum = 2
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	})
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 })
+	c.repl.chaos = chaos
+	c.repl.policy = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	p := clusterPaths(1)[0]
 	linkDoc(t, c, 0, p, "v0 of "+p)
 	c.WaitArchives()
@@ -279,11 +276,9 @@ func TestFailoverPromotesReplicas(t *testing.T) {
 
 func TestPartitionDuringFailover(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 11}
-	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
-		cfg.WriteQuorum = 1
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	})
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) { cfg.WriteQuorum = 1 })
+	c.repl.chaos = chaos
+	c.repl.policy = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	paths := clusterPaths(8)
 	for i, p := range paths {
 		linkDoc(t, c, i, p, "v0 of "+p)
@@ -532,10 +527,8 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 // on the member-down path — an under-replicated close, a classified error —
 // while the owner keeps serving.
 func TestReplicaKilledMidShip(t *testing.T) {
-	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
-		cfg.WriteQuorum = 2
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	})
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 })
+	c.repl.policy = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	p := clusterPaths(1)[0]
 	linkDoc(t, c, 0, p, "v0 of "+p)
 	c.WaitArchives()
@@ -578,5 +571,56 @@ func TestReplicaKilledMidShip(t *testing.T) {
 	}
 	if err := commitUpdate(t, c, 0, "v2 of "+p); err == nil || !strings.Contains(err.Error(), "under-replicated") {
 		t.Fatalf("owner after the replica death: err = %v, want an under-replicated but committed close", err)
+	}
+}
+
+// TestShipToOwningReplicaFailsFast has the replica link the path itself
+// before the owner commits. The replica's refusal is permanent — retrying
+// cannot make it stop owning the path — so the ship gives up after one
+// attempt instead of spending the retry budget inside the commit barrier.
+func TestShipToOwningReplicaFailsFast(t *testing.T) {
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 })
+	retries := 0
+	c.repl.policy = retry.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+		OnRetry: func(int, error, time.Duration) { retries++ }}
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	c.WaitArchives()
+	set := c.ReplicaSet(p)
+	owner, _ := c.Member(set[0])
+	replica, _ := c.Member(set[1])
+
+	// The replica links the path in its own right (rff without recovery, so
+	// the link itself archives and ships nothing).
+	if err := replica.SeedFile(p, []byte("replica's own "+p), alice); err != nil {
+		t.Fatal(err)
+	}
+	const hostTxn = 1 << 40
+	if err := replica.DLFM.LinkFile(hostTxn, p, datalink.ColumnOptions{Mode: datalink.RFF}); err != nil {
+		t.Fatalf("replica-side link: %v", err)
+	}
+	if err := replica.DLFM.PrepareXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.DLFM.CommitXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+
+	// The upcall boundary flattens the close's error to text.
+	err := commitUpdate(t, c, 0, "v1 of "+p)
+	if err == nil || !strings.Contains(err.Error(), "under-replicated") || !strings.Contains(err.Error(), dlfm.ErrReplicaOwned.Error()) {
+		t.Fatalf("commit shipped to an owning replica: err = %v, want under-replicated by ErrReplicaOwned", err)
+	}
+	if retries != 0 {
+		t.Fatalf("ship retried %d times against a permanent refusal, want 0", retries)
+	}
+	if n := owner.DLFM.Metrics().Counter("repl.quorum_waits").Value(); n != 0 {
+		t.Fatalf("repl.quorum_waits = %d, want 0", n)
+	}
+	// The ship itself returns the typed refusal.
+	var retried bool
+	err = c.shipToReplica(context.Background(), owner.Name, replica.Name, p, 2, 0, nil, time.Now(), dlfm.ReplicaMeta{}, &retried)
+	if !errors.Is(err, dlfm.ErrReplicaOwned) || retried {
+		t.Fatalf("ship to an owning replica: err = %v retried = %v, want ErrReplicaOwned on the first attempt", err, retried)
 	}
 }

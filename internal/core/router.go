@@ -53,7 +53,7 @@ func newRouter(authority string, r *ring.Ring) *Router {
 }
 
 // Metrics returns the router's registry (ring.moves, ring.forwards,
-// ring.rebalance_ms, ring.placement.<member>).
+// ring.rebalance histogram, ring.placement.<member>).
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
 // Ring returns the current routing ring.

@@ -61,6 +61,11 @@ var ErrReplicationQuorum = errors.New("dlfm: replication quorum not reached")
 // apply.
 var ErrReplicaLag = errors.New("dlfm: replica history lags")
 
+// ErrReplicaOwned reports a shipped frame refused because this server owns
+// (links) the path: it serves the path, so it must not also hold it as a
+// replica. Retrying cannot change that answer.
+var ErrReplicaOwned = errors.New("dlfm: path is owned here, not a replica")
+
 // ErrNoReplica reports a promotion target this server holds no replica for.
 var ErrNoReplica = errors.New("dlfm: no replica held")
 
@@ -197,7 +202,7 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 	}
 	defer s.survive(&err)
 	if _, linked := s.lookupFile(path); linked {
-		return fmt.Errorf("dlfm: replica apply %s: path is owned by %s", path, s.cfg.Name)
+		return fmt.Errorf("%w: replica apply %s on %s", ErrReplicaOwned, path, s.cfg.Name)
 	}
 	vs := s.cfg.Archive.Versions(s.cfg.Name, path)
 	last := int64(-1)

@@ -2,6 +2,7 @@ package dlfm
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"datalinks/internal/datalink"
@@ -181,7 +182,7 @@ func (s *Server) ImportBundle(b *FileBundle) error {
 	if _, linked := s.lookupFile(b.Path); linked {
 		return fmt.Errorf("%w: import of %s", ErrAlreadyLinked, b.Path)
 	}
-	if i := lastSlash(b.Path); i > 0 {
+	if i := strings.LastIndexByte(b.Path, '/'); i > 0 {
 		if err := s.cfg.Phys.MkdirAll(b.Path[:i], rootCred, 0o755); err != nil {
 			return fmt.Errorf("dlfm: import mkdir %s: %w", b.Path, err)
 		}
@@ -219,14 +220,4 @@ func (s *Server) ImportBundle(b *FileBundle) error {
 	}
 	s.cfg.Metrics.Counter("dlfm.shard.imports").Inc()
 	return nil
-}
-
-// lastSlash returns the index of the last '/' in p, or -1.
-func lastSlash(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }
