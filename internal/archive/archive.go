@@ -275,6 +275,10 @@ type Store struct {
 
 	latency atomic.Int64 // nanoseconds per device transfer unit
 
+	// putHook, when set (tests only), runs before each catalog append and
+	// can fail it — the torn-import injection point.
+	putHook func(*catalog.PutRec) error
+
 	gcStop    chan struct{}
 	gcDone    chan struct{}
 	closeOnce sync.Once
@@ -435,20 +439,7 @@ func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 				claim(rec.tail)
 				s.addRef(rec.tail)
 			}
-			fv.recs = append(fv.recs, rec)
-			fv.entries = append(fv.entries, Entry{
-				Server:  server,
-				Path:    path,
-				Version: Version(pr.Version),
-				StateID: pr.StateID,
-				Size:    pr.Size,
-				Stored:  time.Unix(0, pr.StoredUnixNano),
-				st:      s,
-				key:     k,
-				idx:     i,
-				gen:     fv.gen,
-			})
-			fv.last = full
+			fv.push(s, k, server, path, pr, rec, full)
 		}
 		if keep < len(hist) {
 			cat.Trim(k, keep)
@@ -485,6 +476,55 @@ func recFromCatalog(pr *catalog.PutRec) *verRec {
 		}
 	}
 	return rec
+}
+
+// catalogRec builds the durable manifest of version e (stored as rec) under
+// key k — what PutSnapshot logs and ExportDelta ships. The hash lists are
+// shared, not copied: both are frozen once a version exists.
+func catalogRec(k string, e *Entry, rec *verRec) *catalog.PutRec {
+	return &catalog.PutRec{
+		Key:            k,
+		Version:        int64(e.Version),
+		StateID:        e.StateID,
+		Size:           e.Size,
+		StoredUnixNano: e.Stored.UnixNano(),
+		NChunks:        rec.nchunks,
+		TailLen:        rec.tailLen,
+		TailHash:       rec.tail,
+		IsFull:         rec.isFull,
+		Full:           rec.full,
+		Mods:           modsForCatalog(rec.mods),
+	}
+}
+
+// logPut appends one manifest to the durable catalog. Caller holds the
+// entry shard lock and has checked s.cat != nil.
+func (s *Store) logPut(pr *catalog.PutRec) error {
+	if s.putHook != nil {
+		if err := s.putHook(pr); err != nil {
+			return err
+		}
+	}
+	return s.cat.AppendPut(pr)
+}
+
+// push indexes the version pr describes (stored as rec, with the complete
+// hash list full) as the newest of fv, the history of key k.
+func (fv *fileVersions) push(s *Store, k, server, path string, pr *catalog.PutRec, rec *verRec, full []extent.Hash) {
+	fv.recs = append(fv.recs, rec)
+	fv.entries = append(fv.entries, Entry{
+		Server:  server,
+		Path:    path,
+		Version: Version(pr.Version),
+		StateID: pr.StateID,
+		Size:    pr.Size,
+		Stored:  time.Unix(0, pr.StoredUnixNano),
+		st:      s,
+		key:     k,
+		idx:     len(fv.entries),
+		gen:     fv.gen,
+	})
+	fv.last = full
 }
 
 // applyRec advances a full hash list by one version record (a fresh slice is
@@ -808,20 +848,7 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 		// only this version's index entry — its blobs are adopted as dead and
 		// swept at the next open, and recovery's pending-archive pass
 		// re-archives the version.
-		pr := &catalog.PutRec{
-			Key:            k,
-			Version:        int64(v),
-			StateID:        stateID,
-			Size:           size,
-			StoredUnixNano: stored.UnixNano(),
-			NChunks:        rec.nchunks,
-			TailLen:        rec.tailLen,
-			TailHash:       rec.tail,
-			IsFull:         rec.isFull,
-			Full:           rec.full,
-			Mods:           modsForCatalog(rec.mods),
-		}
-		if err := s.cat.AppendPut(pr); err != nil {
+		if err := s.logPut(catalogRec(k, &fv.entries[len(fv.entries)-1], rec)); err != nil {
 			// Unwind the insert: an unlogged version must not be served (it
 			// would silently vanish at the next restart).
 			fv.recs = fv.recs[:len(fv.recs)-1]

@@ -21,8 +21,8 @@ func seedPair(t *testing.T, srcVers, dstVers int) (src, dst *Store) {
 	}
 	dst = New(0, nil)
 	if dstVers > 0 {
-		recs := src.ExportHistory("auth", "/f")
-		if _, err := dst.ImportHistory("auth", "/f", recs[:dstVers], src.FetchBlob); err != nil {
+		recs := exportAll(t, src, "/f")
+		if _, err := dst.ImportDelta("auth", "/f", -1, recs[:dstVers], src.FetchBlob); err != nil {
 			t.Fatalf("seed dst: %v", err)
 		}
 	}
@@ -38,7 +38,7 @@ func TestDeltaShipsOnlyMissingVersions(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("delta has %d recs, want 3 (versions 3..5)", len(recs))
 	}
-	st, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob)
+	st, err := dst.ImportDelta("auth", "/f", 2, recs, src.FetchBlob)
 	if err != nil {
 		t.Fatalf("import delta: %v", err)
 	}
@@ -84,18 +84,31 @@ func TestDeltaChainGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob); !errors.Is(err, ErrChainGap) {
+	if _, err := dst.ImportDelta("auth", "/f", 3, recs, src.FetchBlob); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("gapped import: %v, want ErrChainGap", err)
+	}
+	// The records must be what ExportDelta returned for the base: a delta
+	// exported after version 1 passed off as one after version 0 is a gap,
+	// even though it would extend the destination's history.
+	after1, err := src.ExportDelta("auth", "/f", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.ImportDelta("auth", "/f", 0, after1, src.FetchBlob); !errors.Is(err, ErrChainGap) {
+		t.Fatalf("import under a wrong base: %v, want ErrChainGap", err)
+	}
+	if n := len(dst.Versions("auth", "/f")); n != 2 {
+		t.Fatalf("dst has %d versions after refused imports, want 2", n)
 	}
 	// The failed import left the destination intact.
 	e, err := dst.Get("auth", "/f", 1)
 	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(1)) {
 		t.Fatalf("dst damaged by rejected import: %v", err)
 	}
-	// ImportDelta onto an empty history is a gap too: the full-history path
-	// (ImportHistory) owns that case.
+	// A base >= 0 import onto an empty history is a gap too: only a fresh
+	// import (base -1) starts a history.
 	empty := New(0, nil)
-	if _, err := empty.ImportDelta("auth", "/f", recs, src.FetchBlob); !errors.Is(err, ErrChainGap) {
+	if _, err := empty.ImportDelta("auth", "/f", 3, recs, src.FetchBlob); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("delta into empty store: %v, want ErrChainGap", err)
 	}
 }
@@ -106,7 +119,7 @@ func TestDeltaIdempotentReship(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob)
+	st, err := dst.ImportDelta("auth", "/f", 1, recs, src.FetchBlob)
 	if err != nil {
 		t.Fatalf("overlapping re-ship: %v", err)
 	}
@@ -115,7 +128,7 @@ func TestDeltaIdempotentReship(t *testing.T) {
 	}
 	// A second identical ship is a clean no-op — the at-least-once delivery
 	// case the replication retry produces.
-	st, err = dst.ImportDelta("auth", "/f", recs, src.FetchBlob)
+	st, err = dst.ImportDelta("auth", "/f", 1, recs, src.FetchBlob)
 	if err != nil {
 		t.Fatalf("duplicate ship: %v", err)
 	}
@@ -144,7 +157,7 @@ func TestDeltaFetchFailureKeepsPrefix(t *testing.T) {
 		}
 		return src.FetchBlob(h)
 	}
-	if _, err := dst.ImportDelta("auth", "/f", recs, failing); err == nil {
+	if _, err := dst.ImportDelta("auth", "/f", 1, recs, failing); err == nil {
 		t.Fatal("import with failing fetch succeeded")
 	}
 	// The destination still serves what it had, and a healthy retry converges.
@@ -152,7 +165,7 @@ func TestDeltaFetchFailureKeepsPrefix(t *testing.T) {
 	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(1)) {
 		t.Fatalf("existing prefix damaged: %v", err)
 	}
-	if _, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob); err != nil {
+	if _, err := dst.ImportDelta("auth", "/f", 1, recs, src.FetchBlob); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	for v := 0; v < 6; v++ {
@@ -170,15 +183,15 @@ func TestDeltaDurableDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := src.ExportHistory("auth", "/f")
-	if _, err := dst.ImportHistory("auth", "/f", recs[:2], src.FetchBlob); err != nil {
+	recs := exportAll(t, src, "/f")
+	if _, err := dst.ImportDelta("auth", "/f", -1, recs[:2], src.FetchBlob); err != nil {
 		t.Fatal(err)
 	}
 	delta, err := src.ExportDelta("auth", "/f", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.ImportDelta("auth", "/f", delta, src.FetchBlob); err != nil {
+	if _, err := dst.ImportDelta("auth", "/f", 1, delta, src.FetchBlob); err != nil {
 		t.Fatalf("delta import: %v", err)
 	}
 	dst.Close()

@@ -1,18 +1,18 @@
 package archive
 
-// Shard handoff: export a file's version history as delta manifests and
-// replay it into another store, moving chunk bytes by content hash. The
-// destination deduplicates against everything it already holds — blobs it has
-// (live, or dead-but-unswept on disk) never travel — so migrating a file
-// whose history the destination mostly shares costs O(changed chunks), the
-// same property PutSnapshot gives the commit path. This is what makes live
-// shard migration affordable: the manifests are tiny, and only genuinely new
-// bytes cross between archive devices.
+// History transfer: the one way a file's version history moves between
+// stores. ExportDelta copies a history — whole, or its tail after a base
+// version — as catalog.PutRec, the manifest record the store already
+// persists, and ImportDelta replays those records into another store, moving
+// chunk bytes by content hash. Replica catch-up, full resync and the handover
+// of a live migration all run this pair. The destination deduplicates against
+// everything it already holds — blobs it has (live, or dead-but-unswept on
+// disk) never travel — so a transfer costs O(changed chunks), the same
+// property PutSnapshot gives the commit path.
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"datalinks/internal/catalog"
 	"datalinks/internal/extent"
@@ -20,34 +20,11 @@ import (
 
 // ErrChainGap reports a delta export or import whose base version does not
 // line up with the history on this store — the history was truncated,
-// restored, or never archived here. The caller falls back to a full resync
-// (Drop + ExportHistory/ImportHistory).
+// restored, or never archived here. The caller resyncs from scratch: Drop,
+// then ExportDelta/ImportDelta with base -1.
 var ErrChainGap = errors.New("archive: history chain gap")
 
-// HistoryMod is one changed slot of an exported delta manifest.
-type HistoryMod struct {
-	Idx  int32
-	Hash extent.Hash
-}
-
-// HistoryRec is one version of an exported history: exactly the manifest the
-// store persists, so import replays it with the same chain semantics as a
-// catalog replay. Recs are ordered oldest-first and deltas chain through
-// their predecessors, so a history must be imported whole.
-type HistoryRec struct {
-	Version        int64
-	StateID        uint64
-	Size           int64
-	StoredUnixNano int64
-	NChunks        int
-	TailLen        int
-	TailHash       extent.Hash
-	IsFull         bool
-	Full           []extent.Hash
-	Mods           []HistoryMod
-}
-
-// ImportStats reports what one ImportHistory physically did.
+// ImportStats reports what one ImportDelta physically did.
 type ImportStats struct {
 	Versions      int
 	MovedChunks   int   // blobs fetched from the source and stored
@@ -56,219 +33,52 @@ type ImportStats struct {
 	DedupedBytes  int64
 }
 
-// exportRec copies version index i of fv as a portable record. Caller holds
-// the entry shard lock.
-func exportRec(fv *fileVersions, i int) HistoryRec {
-	rec := fv.recs[i]
-	e := fv.entries[i]
-	hr := HistoryRec{
-		Version:        int64(e.Version),
-		StateID:        e.StateID,
-		Size:           e.Size,
-		StoredUnixNano: e.Stored.UnixNano(),
-		NChunks:        rec.nchunks,
-		TailLen:        rec.tailLen,
-		TailHash:       rec.tail,
-		IsFull:         rec.isFull,
-	}
-	if rec.isFull {
-		hr.Full = append([]extent.Hash(nil), rec.full...)
-	} else {
-		hr.Mods = make([]HistoryMod, len(rec.mods))
-		for j, m := range rec.mods {
-			hr.Mods[j] = HistoryMod{Idx: m.idx, Hash: m.hash}
-		}
-	}
-	return hr
-}
-
-// ExportHistory snapshots the version history of one file as portable
-// manifest records. The slices are fresh copies — the caller may hold them
-// across arbitrary later mutation of this store.
-func (s *Store) ExportHistory(server, path string) []HistoryRec {
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fv := sh.entries[k]
-	if fv == nil {
-		return nil
-	}
-	out := make([]HistoryRec, len(fv.recs))
-	for i := range fv.recs {
-		out[i] = exportRec(fv, i)
-	}
-	return out
-}
-
-// ExportDelta snapshots the tail of a history: every version strictly after
-// base, ordered oldest-first. The first returned record chains off version
-// base, so a store whose last version is base appends the result with
-// ImportDelta — the O(changed chunks) transfer the replication stream uses
-// to catch a lagging replica up. An empty slice means the history ends at
-// base (nothing to ship). ErrChainGap reports that base is not present in
-// this history; the caller falls back to a full resync.
-func (s *Store) ExportDelta(server, path string, base int64) ([]HistoryRec, error) {
+// ExportDelta snapshots every version of a history strictly after base,
+// ordered oldest-first, as the manifests the catalog persists. The first
+// record chains off version base, so a store whose last version is base
+// appends the result with ImportDelta. base -1 exports the whole history (a
+// path with none exports nothing). An empty slice otherwise means the
+// history ends at base. ErrChainGap reports a base >= 0 that is not in this
+// history. The records share this store's frozen hash lists; nothing
+// mutates them.
+func (s *Store) ExportDelta(server, path string, base int64) ([]catalog.PutRec, error) {
 	k := key(server, path)
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	fv := sh.entries[k]
 	if fv == nil || len(fv.entries) == 0 {
+		if base < 0 {
+			return nil, nil
+		}
 		return nil, fmt.Errorf("%w: export of %s after version %d: no history", ErrChainGap, path, base)
 	}
 	idx := -1
-	for i := range fv.entries {
-		if int64(fv.entries[i].Version) == base {
-			idx = i
-			break
+	if base >= 0 {
+		for i := range fv.entries {
+			if int64(fv.entries[i].Version) == base {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
+			return nil, fmt.Errorf("%w: export of %s: version %d not in history (have %d..%d)",
+				ErrChainGap, path, base, fv.entries[0].Version, fv.entries[len(fv.entries)-1].Version)
 		}
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: export of %s: version %d not in history (have %d..%d)",
-			ErrChainGap, path, base, fv.entries[0].Version, fv.entries[len(fv.entries)-1].Version)
-	}
-	out := make([]HistoryRec, 0, len(fv.recs)-idx-1)
+	out := make([]catalog.PutRec, 0, len(fv.recs)-idx-1)
 	for i := idx + 1; i < len(fv.recs); i++ {
-		out = append(out, exportRec(fv, i))
+		out = append(out, *catalogRec(k, &fv.entries[i], fv.recs[i]))
 	}
 	return out, nil
 }
 
 // FetchBlob returns the bytes of one content hash (paging in from the disk
 // tier if cold). The caller owns the returned chunk and must ReleaseChunk it.
-// This is the source side of a migration: the destination's ImportHistory
-// calls it for exactly the hashes it does not already hold.
+// This is the source side of a transfer: the destination's ImportDelta calls
+// it for exactly the hashes it does not already hold.
 func (s *Store) FetchBlob(h extent.Hash) (*extent.Chunk, error) {
 	return s.disk.Get(h)
-}
-
-// ImportHistory replays an exported history into this store. fetch is called
-// once per blob hash this store does not already hold (memory, disk, or
-// dead-but-unswept on disk — all deduplicate to zero transfer). The import is
-// all-or-nothing: on any error no version becomes visible and every pinned
-// reference is released. The destination must not already hold a history for
-// (server, path) — migration owns the path exclusively while it runs.
-func (s *Store) ImportHistory(server, path string, recs []HistoryRec, fetch func(extent.Hash) (*extent.Chunk, error)) (ImportStats, error) {
-	var st ImportStats
-	if len(recs) == 0 {
-		return st, nil
-	}
-	k := key(server, path)
-
-	// Build the whole fileVersions aside, pinning blob references and moving
-	// bytes as needed — the same walk as a catalog replay, except a missing
-	// blob is fetched from the source instead of ending the history.
-	fv := &fileVersions{gen: genCounter.Add(1)}
-	var pinned []extent.Hash // every addRef taken, for unwind
-	fail := func(err error) (ImportStats, error) {
-		for _, h := range pinned {
-			s.releaseRef(h)
-		}
-		return ImportStats{}, err
-	}
-	ensure := func(h extent.Hash, logical int64) error {
-		return s.ensureBlob(h, logical, path, fetch, &st, &pinned)
-	}
-
-	var full []extent.Hash
-	for i, hr := range recs {
-		rec := &verRec{
-			isFull:  hr.IsFull,
-			nchunks: hr.NChunks,
-			tail:    hr.TailHash,
-			tailLen: hr.TailLen,
-		}
-		if hr.IsFull {
-			rec.full = append([]extent.Hash(nil), hr.Full...)
-		} else {
-			rec.mods = make([]chunkMod, len(hr.Mods))
-			for j, m := range hr.Mods {
-				rec.mods[j] = chunkMod{idx: m.Idx, hash: m.Hash}
-			}
-		}
-		full = applyRec(full, rec)
-		for _, h := range full {
-			if err := ensure(h, extent.ChunkSize); err != nil {
-				return fail(err)
-			}
-		}
-		if rec.tailLen > 0 {
-			if err := ensure(rec.tail, int64(rec.tailLen)); err != nil {
-				return fail(err)
-			}
-		}
-		fv.recs = append(fv.recs, rec)
-		fv.entries = append(fv.entries, Entry{
-			Server:  server,
-			Path:    path,
-			Version: Version(hr.Version),
-			StateID: hr.StateID,
-			Size:    hr.Size,
-			Stored:  time.Unix(0, hr.StoredUnixNano),
-			st:      s,
-			key:     k,
-			idx:     i,
-			gen:     fv.gen,
-		})
-		fv.last = full
-	}
-	st.Versions = len(recs)
-
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	if existing := sh.entries[k]; existing != nil {
-		sh.mu.Unlock()
-		return fail(fmt.Errorf("%w: import of %s: history already present", ErrStale, path))
-	}
-	if s.cat != nil {
-		// Log every version before it becomes visible, like PutSnapshot. On a
-		// partial failure, tombstone whatever was appended so a restart cannot
-		// resurrect a half-imported history.
-		for i, hr := range recs {
-			rec := fv.recs[i]
-			pr := &catalog.PutRec{
-				Key:            k,
-				Version:        hr.Version,
-				StateID:        hr.StateID,
-				Size:           hr.Size,
-				StoredUnixNano: hr.StoredUnixNano,
-				NChunks:        rec.nchunks,
-				TailLen:        rec.tailLen,
-				TailHash:       rec.tail,
-				IsFull:         rec.isFull,
-				Full:           rec.full,
-				Mods:           modsForCatalog(rec.mods),
-			}
-			if err := s.cat.AppendPut(pr); err != nil {
-				if i > 0 {
-					_ = s.cat.AppendDrop(k)
-				}
-				sh.mu.Unlock()
-				return fail(fmt.Errorf("archive: import catalog %s: %w", path, err))
-			}
-		}
-	}
-	sh.entries[k] = fv
-	sh.mu.Unlock()
-	if s.cat != nil {
-		_ = s.cat.CompactIfDue()
-	}
-	// Same commit durability barrier as PutSnapshot: blobs before manifests.
-	if err := s.disk.Sync(); err != nil {
-		return st, err
-	}
-	if s.cat != nil {
-		if err := s.cat.Sync(); err != nil {
-			return st, fmt.Errorf("archive: import catalog %s: %w", path, err)
-		}
-	}
-	s.logicalBytes.Add(sumSizes(recs))
-	s.newBytes.Add(st.MovedBytes)
-	s.dedupedBytes.Add(st.DedupedBytes)
-	// Device transfer: only moved blobs travel.
-	s.sleep(int64(st.MovedChunks))
-	return st, nil
 }
 
 // ensureBlob pins one reference on h and, the first time h is fresh to the
@@ -307,45 +117,65 @@ func (s *Store) ensureBlob(h extent.Hash, logical int64, path string, fetch func
 	return nil
 }
 
-// ImportDelta appends exported tail records onto a history this store
-// already holds — the replica side of a ship frame or a catch-up transfer.
-// Records at or below the local last version are skipped, so a re-shipped
-// frame whose ack was lost lands as a no-op; the first genuinely new record
-// must be the direct successor of the local last version, anything else is
-// ErrChainGap and the caller resyncs from scratch. Blob movement and
-// deduplication follow ImportHistory: fetch runs only for hashes this store
-// does not hold. Versions become visible one at a time, each logged to the
-// durable catalog before it is served, with the same blobs-before-manifests
-// durability barrier as PutSnapshot at the end.
-func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(extent.Hash) (*extent.Chunk, error)) (ImportStats, error) {
+// ImportDelta replays records exported after version base into this store's
+// history of (server, path); the records' own keys are ignored. fetch runs
+// once per blob hash this store does not already hold. Every version is
+// logged to the durable catalog before it is served, with the same
+// blobs-before-manifests durability barrier as PutSnapshot at the end.
+//
+// base -1 is a fresh import: this store must hold no history for the path
+// (ErrStale otherwise), and the import is all-or-nothing — on any error no
+// version becomes visible, every pinned reference is released, and records
+// already logged are tombstoned so a restart cannot resurrect them.
+//
+// base >= 0 extends the history this store holds (ErrChainGap if it holds
+// none, or if recs do not start at base+1 — they must be exactly what
+// ExportDelta returned for base). Records at or below the local last version are skipped, so a
+// re-shipped frame whose ack was lost lands as a no-op; the first genuinely
+// new record must be the direct successor of the local last version and the
+// rest must follow contiguously, anything else is ErrChainGap. Versions
+// become visible one at a time: a catalog failure keeps the ones logged.
+func (s *Store) ImportDelta(server, path string, base int64, recs []catalog.PutRec, fetch func(extent.Hash) (*extent.Chunk, error)) (ImportStats, error) {
 	var st ImportStats
+	fresh := base < 0
 	k := key(server, path)
 	sh := s.shardFor(k)
 
 	sh.mu.Lock()
 	fv := sh.entries[k]
-	if fv == nil || len(fv.entries) == 0 {
+	if fresh && fv != nil {
+		sh.mu.Unlock()
+		return st, fmt.Errorf("%w: import of %s: history already present", ErrStale, path)
+	}
+	if !fresh && (fv == nil || len(fv.entries) == 0) {
 		sh.mu.Unlock()
 		return st, fmt.Errorf("%w: delta into %s: no base history", ErrChainGap, path)
 	}
-	last := int64(fv.entries[len(fv.entries)-1].Version)
-	gen := fv.gen
-	full := append([]extent.Hash(nil), fv.last...)
+	last := int64(-1)
+	var gen uint64
+	var full []extent.Hash
+	if !fresh {
+		last = int64(fv.entries[len(fv.entries)-1].Version)
+		gen = fv.gen
+		full = fv.last
+	}
 	sh.mu.Unlock()
 
-	for len(recs) > 0 && recs[0].Version <= last {
+	if !fresh && len(recs) > 0 && recs[0].Version != base+1 {
+		return st, fmt.Errorf("%w: delta into %s: exported after version %d, first record is version %d",
+			ErrChainGap, path, base, recs[0].Version)
+	}
+	for !fresh && len(recs) > 0 && recs[0].Version <= last {
 		recs = recs[1:]
 	}
 	if len(recs) == 0 {
 		return st, nil
 	}
-	if recs[0].Version != last+1 {
-		return st, fmt.Errorf("%w: delta into %s: have version %d, tail starts at %d",
-			ErrChainGap, path, last, recs[0].Version)
-	}
 
-	// Build the tail aside, pinning blob references per record so a partial
-	// failure can release exactly the uncommitted records' pins.
+	// Build the versions aside, pinning blob references per record so a
+	// failure can release exactly the pins of the records that did not land —
+	// the same walk as a catalog replay, except a missing blob is fetched
+	// from the source instead of ending the history.
 	var pinned []extent.Hash
 	fail := func(err error) (ImportStats, error) {
 		for _, h := range pinned {
@@ -355,26 +185,14 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	}
 	newRecs := make([]*verRec, len(recs))
 	fulls := make([][]extent.Hash, len(recs))
-	pinStart := make([]int, len(recs)+1)
-	for i, hr := range recs {
-		if hr.Version != last+1+int64(i) {
-			return fail(fmt.Errorf("%w: delta into %s: tail not contiguous at version %d", ErrChainGap, path, hr.Version))
+	pinStart := make([]int, len(recs))
+	for i := range recs {
+		if !fresh && recs[i].Version != last+1+int64(i) {
+			return fail(fmt.Errorf("%w: delta into %s: have version %d, record %d is version %d",
+				ErrChainGap, path, last, i, recs[i].Version))
 		}
 		pinStart[i] = len(pinned)
-		rec := &verRec{
-			isFull:  hr.IsFull,
-			nchunks: hr.NChunks,
-			tail:    hr.TailHash,
-			tailLen: hr.TailLen,
-		}
-		if hr.IsFull {
-			rec.full = append([]extent.Hash(nil), hr.Full...)
-		} else {
-			rec.mods = make([]chunkMod, len(hr.Mods))
-			for j, m := range hr.Mods {
-				rec.mods[j] = chunkMod{idx: m.Idx, hash: m.Hash}
-			}
-		}
+		rec := recFromCatalog(&recs[i])
 		full = applyRec(full, rec)
 		for _, h := range full {
 			if err := s.ensureBlob(h, extent.ChunkSize, path, fetch, &st, &pinned); err != nil {
@@ -387,58 +205,48 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 			}
 		}
 		newRecs[i] = rec
-		fulls[i] = append([]extent.Hash(nil), full...)
+		fulls[i] = full
 	}
-	pinStart[len(recs)] = len(pinned)
 
 	sh.mu.Lock()
 	cur := sh.entries[k]
-	if cur != fv || cur.gen != gen || int64(cur.entries[len(cur.entries)-1].Version) != last {
+	switch {
+	case fresh && cur != nil:
+		sh.mu.Unlock()
+		return fail(fmt.Errorf("%w: import of %s: history already present", ErrStale, path))
+	case fresh:
+		fv = &fileVersions{gen: genCounter.Add(1)}
+	case cur != fv || cur.gen != gen || int64(cur.entries[len(cur.entries)-1].Version) != last:
 		sh.mu.Unlock()
 		return fail(fmt.Errorf("%w: delta into %s: history changed during import", ErrStale, path))
 	}
-	for i, hr := range recs {
-		rec := newRecs[i]
+	for i := range recs {
 		if s.cat != nil {
-			pr := &catalog.PutRec{
-				Key:            k,
-				Version:        hr.Version,
-				StateID:        hr.StateID,
-				Size:           hr.Size,
-				StoredUnixNano: hr.StoredUnixNano,
-				NChunks:        rec.nchunks,
-				TailLen:        rec.tailLen,
-				TailHash:       rec.tail,
-				IsFull:         rec.isFull,
-				Full:           rec.full,
-				Mods:           modsForCatalog(rec.mods),
-			}
-			if err := s.cat.AppendPut(pr); err != nil {
-				// Records [0,i) are logged and visible — keep them. Release
-				// only the pins belonging to the records that did not land.
+			pr := recs[i]
+			pr.Key = k
+			if err := s.logPut(&pr); err != nil {
+				err = fmt.Errorf("archive: import catalog %s: %w", path, err)
+				if fresh {
+					// Nothing is visible yet; tombstone what was logged.
+					if i > 0 {
+						_ = s.cat.AppendDrop(k)
+					}
+					sh.mu.Unlock()
+					return fail(err)
+				}
+				// Records [0,i) are logged and visible — keep them.
 				sh.mu.Unlock()
 				for _, h := range pinned[pinStart[i]:] {
 					s.releaseRef(h)
 				}
-				st.Versions = i
-				return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
+				return st, err
 			}
 		}
-		fv.recs = append(fv.recs, rec)
-		fv.entries = append(fv.entries, Entry{
-			Server:  server,
-			Path:    path,
-			Version: Version(hr.Version),
-			StateID: hr.StateID,
-			Size:    hr.Size,
-			Stored:  time.Unix(0, hr.StoredUnixNano),
-			st:      s,
-			key:     k,
-			idx:     len(fv.entries),
-			gen:     fv.gen,
-		})
-		fv.last = fulls[i]
+		fv.push(s, k, server, path, &recs[i], newRecs[i], fulls[i])
 		st.Versions++
+	}
+	if fresh {
+		sh.entries[k] = fv
 	}
 	sh.mu.Unlock()
 	if s.cat != nil {
@@ -450,20 +258,15 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	}
 	if s.cat != nil {
 		if err := s.cat.Sync(); err != nil {
-			return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
+			return st, fmt.Errorf("archive: import catalog %s: %w", path, err)
 		}
 	}
-	s.logicalBytes.Add(sumSizes(recs))
+	for i := range recs {
+		s.logicalBytes.Add(recs[i].Size)
+	}
 	s.newBytes.Add(st.MovedBytes)
 	s.dedupedBytes.Add(st.DedupedBytes)
+	// Device transfer: only moved blobs travel.
 	s.sleep(int64(st.MovedChunks))
 	return st, nil
-}
-
-func sumSizes(recs []HistoryRec) int64 {
-	var n int64
-	for _, r := range recs {
-		n += r.Size
-	}
-	return n
 }

@@ -2,9 +2,11 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
+	"datalinks/internal/catalog"
 	"datalinks/internal/extent"
 )
 
@@ -20,6 +22,16 @@ func multiVersionContent(v int) []byte {
 	return buf
 }
 
+// exportAll exports a whole history: ExportDelta from base -1.
+func exportAll(t *testing.T, s *Store, path string) []catalog.PutRec {
+	t.Helper()
+	recs, err := s.ExportDelta("auth", path, -1)
+	if err != nil {
+		t.Fatalf("export %s: %v", path, err)
+	}
+	return recs
+}
+
 func TestHandoffRoundTrip(t *testing.T) {
 	src := New(0, nil)
 	for v := 0; v < 5; v++ {
@@ -27,18 +39,22 @@ func TestHandoffRoundTrip(t *testing.T) {
 			t.Fatalf("put v%d: %v", v, err)
 		}
 	}
-	recs := src.ExportHistory("auth", "/f")
+	recs := exportAll(t, src, "/f")
 	if len(recs) != 5 {
 		t.Fatalf("exported %d recs, want 5", len(recs))
 	}
 
 	dst := New(0, nil)
-	st, err := dst.ImportHistory("auth", "/f", recs, src.FetchBlob)
+	st, err := dst.ImportDelta("auth", "/f", -1, recs, src.FetchBlob)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	if st.Versions != 5 {
 		t.Fatalf("imported %d versions, want 5", st.Versions)
+	}
+	// A path with no history exports nothing, without error.
+	if none := exportAll(t, src, "/missing"); len(none) != 0 {
+		t.Fatalf("export of a missing path: %d recs, want 0", len(none))
 	}
 	// The byte(i) fill makes chunks 0 and 2 identical, so the unique blobs
 	// are: one base chunk, the tail, and 5 per-version variants of chunk 1
@@ -71,6 +87,17 @@ func TestHandoffRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(3)) {
 		t.Fatalf("dst history damaged by src drop: %v", err)
 	}
+	// The import keys by its own (server, path), not by the records' keys.
+	other := New(0, nil)
+	if _, err := other.ImportDelta("auth", "/g", -1, recs, dst.FetchBlob); err != nil {
+		t.Fatalf("import under another path: %v", err)
+	}
+	if e, err := other.Get("auth", "/g", 4); err != nil || !bytes.Equal(e.Content(), multiVersionContent(4)) {
+		t.Fatalf("import under another path wrong: %v", err)
+	}
+	if vs := other.Versions("auth", "/f"); len(vs) != 0 {
+		t.Fatalf("import landed %d versions under the records' key", len(vs))
+	}
 }
 
 func TestHandoffDedupAgainstResident(t *testing.T) {
@@ -84,7 +111,7 @@ func TestHandoffDedupAgainstResident(t *testing.T) {
 	if err := src.Put("auth", "/f", 0, 1, content); err != nil {
 		t.Fatalf("seed src: %v", err)
 	}
-	st, err := dst.ImportHistory("auth", "/f", src.ExportHistory("auth", "/f"), src.FetchBlob)
+	st, err := dst.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), src.FetchBlob)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -106,8 +133,8 @@ func TestHandoffRejectsExistingHistory(t *testing.T) {
 	if err := dst.Put("auth", "/f", 0, 1, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.ImportHistory("auth", "/f", src.ExportHistory("auth", "/f"), src.FetchBlob); err == nil {
-		t.Fatal("import over an existing history succeeded")
+	if _, err := dst.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), src.FetchBlob); !errors.Is(err, ErrStale) {
+		t.Fatalf("fresh import over an existing history: %v, want ErrStale", err)
 	}
 	// The failed import must not have leaked references over the existing
 	// history: its content still serves.
@@ -131,14 +158,14 @@ func TestHandoffFetchFailureUnwinds(t *testing.T) {
 		}
 		return src.FetchBlob(h)
 	}
-	if _, err := dst.ImportHistory("auth", "/f", src.ExportHistory("auth", "/f"), failing); err == nil {
+	if _, err := dst.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), failing); err == nil {
 		t.Fatal("import with failing fetch succeeded")
 	}
 	if _, err := dst.Get("auth", "/f", 0); err == nil {
 		t.Fatal("half-imported history is visible")
 	}
 	// Retry with a healthy fetch: the unwind must have left the store clean.
-	if _, err := dst.ImportHistory("auth", "/f", src.ExportHistory("auth", "/f"), src.FetchBlob); err != nil {
+	if _, err := dst.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), src.FetchBlob); err != nil {
 		t.Fatalf("retry after unwind: %v", err)
 	}
 	e, err := dst.Get("auth", "/f", 0)
@@ -159,7 +186,7 @@ func TestHandoffTieredDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.ImportHistory("auth", "/f", src.ExportHistory("auth", "/f"), src.FetchBlob); err != nil {
+	if _, err := dst.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), src.FetchBlob); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	dst.Close()
@@ -173,6 +200,59 @@ func TestHandoffTieredDestination(t *testing.T) {
 		e, err := re.Get("auth", "/f", Version(v))
 		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
 			t.Fatalf("reopened v%d wrong: %v", v, err)
+		}
+	}
+}
+
+// TestHandoffCatalogFailureLeavesNoHistory fails a fresh import's catalog
+// append partway: the records already logged are tombstoned, so neither the
+// running store nor a reopen of its directory serves a half history.
+func TestHandoffCatalogFailureLeavesNoHistory(t *testing.T) {
+	src := New(0, nil)
+	for v := 0; v < 4; v++ {
+		if err := src.Put("auth", "/f", Version(v), uint64(v+1), multiVersionContent(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	dst, err := NewTiered(0, nil, TierConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := 0
+	dst.putHook = func(*catalog.PutRec) error {
+		appends++
+		if appends > 2 {
+			return errors.New("catalog device full")
+		}
+		return nil
+	}
+	if _, err := dst.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), src.FetchBlob); err == nil {
+		t.Fatal("import with a failing catalog append succeeded")
+	}
+	if appends != 3 {
+		t.Fatalf("catalog saw %d appends, want the failure on the third", appends)
+	}
+	if vs := dst.Versions("auth", "/f"); len(vs) != 0 {
+		t.Fatalf("half-imported history visible: %d versions", len(vs))
+	}
+	dst.Close()
+	re, err := NewTiered(0, nil, TierConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if vs := re.Versions("auth", "/f"); len(vs) != 0 {
+		t.Fatalf("reopen resurrected %d half-imported versions", len(vs))
+	}
+	// The unwind left the store clean: a healthy retry lands everything.
+	if _, err := re.ImportDelta("auth", "/f", -1, exportAll(t, src, "/f"), src.FetchBlob); err != nil {
+		t.Fatalf("retry after reopen: %v", err)
+	}
+	for v := 0; v < 4; v++ {
+		e, err := re.Get("auth", "/f", Version(v))
+		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+			t.Fatalf("retried v%d wrong: %v", v, err)
 		}
 	}
 }

@@ -4,10 +4,14 @@ package core
 // servers. A consistent-hash ring places every link path on a member, every
 // layer resolves ownership through the router (engine link/unlink, token
 // issuing, session opens, metadata write-back), and membership can change
-// while commits continue: paths that land on a new owner migrate live — drain,
-// freeze, archive-history handoff, bundle import, evict — behind per-path
-// gates, so an update is either committed by the old owner before the move or
-// by the new owner after it, never lost in between.
+// while commits continue: paths that land on a new owner migrate live behind
+// per-path gates — drain, freeze, catch the new owner's archive history up
+// the way a lagging replica is caught up (catchUpReplica, the one history
+// mover), promote it with the bundle import, evict the old owner — so an
+// update is either committed by the old owner before the move or by the new
+// owner after it, never lost in between. A new owner that already replicates
+// the path further than the old owner archived it (acked versions a
+// cold-started member lost) is promoted as it stands, as Failover would.
 //
 // All members run their DLFM under the cluster's shared authority name, so
 // dlfs://<authority>/<path> URLs stay valid across migrations, archive
@@ -322,7 +326,7 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 		return err
 	}
 	c.attachReplicator(fsrv)
-	target := c.router.currentRing().With(sc.Name)
+	target := c.router.Ring().With(sc.Name)
 	c.router.beginRebalance(target, fsrv)
 	if err := c.rebalanceTo(target); err != nil {
 		c.router.abortRebalance()
@@ -336,10 +340,8 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 		return err
 	}
 	c.router.finishRebalance(target)
-	if c.repl.n > 1 {
-		if err := c.FlushReplication(); err != nil {
-			return err
-		}
+	if err := c.FlushReplication(); err != nil {
+		return err
 	}
 	c.Placements()
 	return nil
@@ -366,7 +368,7 @@ func (c *Cluster) RemoveServer(id string) error {
 	if err != nil {
 		return err
 	}
-	target := c.router.currentRing().Without(id)
+	target := c.router.Ring().Without(id)
 	if len(target.Members()) == 0 {
 		return fmt.Errorf("core: cannot remove the last member %q", id)
 	}
@@ -378,10 +380,8 @@ func (c *Cluster) RemoveServer(id string) error {
 	c.router.finishRebalance(target)
 	c.router.dropMember(id)
 	closeStack(m)
-	if c.repl.n > 1 {
-		if err := c.FlushReplication(); err != nil {
-			return err
-		}
+	if err := c.FlushReplication(); err != nil {
+		return err
 	}
 	c.Placements()
 	return nil
@@ -407,7 +407,8 @@ func (c *Cluster) FailServer(id string) error {
 // the dead member's durable directories are cold-started (repository WAL
 // replay rebuilds the link set; linked contents materialize from the archive),
 // every recovered path migrates to its owner on the ring without the dead
-// member, and the member leaves the ring. Requires the failed member to have
+// member, and the member leaves the ring; with Replicas > 1 the anti-entropy
+// pass then repairs the successor sets. Requires the failed member to have
 // run with RepoDir set — a purely volatile member leaves nothing to absorb.
 func (c *Cluster) AbsorbDead(id string) error {
 	c.mu.Lock()
@@ -428,7 +429,7 @@ func (c *Cluster) AbsorbDead(id string) error {
 	if err != nil {
 		return fmt.Errorf("core: absorb %s: cold start: %w", id, err)
 	}
-	target := c.router.currentRing().Without(id)
+	target := c.router.Ring().Without(id)
 	if len(target.Members()) == 0 {
 		closeStack(fsrv)
 		return fmt.Errorf("core: no surviving members to absorb %q into", id)
@@ -454,6 +455,9 @@ func (c *Cluster) AbsorbDead(id string) error {
 	c.mu.Lock()
 	delete(c.deadCfg, id)
 	c.mu.Unlock()
+	if err := c.FlushReplication(); err != nil {
+		return err
+	}
 	c.Placements()
 	return nil
 }
@@ -487,9 +491,11 @@ func (c *Cluster) rebalanceTo(target *ring.Ring) error {
 }
 
 // migratePath moves one linked path between members: gate new traffic, drain
-// and freeze the source, hand the archive history over (chunks dedup by
-// hash), import the repository bundle, point the router at the destination,
-// evict the source. On any failure the source remains the owner.
+// and freeze the source, catch the destination's archive history up (chunks
+// dedup by hash; a replica receives only what it lacks), promote it with the
+// repository bundle — or, when the destination's replica is ahead of the
+// source, promote that replica — point the router at the destination, evict
+// the source. On any failure the source remains the owner.
 func (c *Cluster) migratePath(src, dst *FileServer, path string) error {
 	if c.migrateHook != nil {
 		if err := c.migrateHook(path, src.Name, dst.Name); err != nil {
@@ -531,20 +537,44 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	}
 	defer b.Release()
 
+	// Hand over under the destination's replica lock, as a failover
+	// promotion does. A destination replica that is ahead of the source
+	// holds versions a write quorum acked and the source lost before
+	// archiving them (a cold-started member's in-flight archive jobs die
+	// with it): that replica is promoted as it stands, as Failover would.
+	// Otherwise the destination's history is caught up exactly as a lagging
+	// replica's is — a replica receives only what it lacks — and the bundle
+	// promotes it.
 	handover := sp.Child("handover")
-	recs := src.Archive.ExportHistory(c.authority, path)
-	if _, err := dst.Archive.ImportHistory(c.authority, path, recs, src.Archive.FetchBlob); err != nil {
-		handover.End()
-		src.DLFM.AbortExport(path)
-		return err
+	unlock := dst.DLFM.LockReplica(path)
+	wasReplica := dst.DLFM.ReplicaVersion(path) >= 0
+	if wasReplica && c.lastArchived(dst, path) > c.lastArchived(src, path) {
+		err = dst.DLFM.PromoteReplica(path)
+	} else if _, err = c.catchUpReplica(src, dst, path); err == nil {
+		err = dst.DLFM.ImportBundle(b)
 	}
-	if err := dst.DLFM.ImportBundle(b); err != nil {
-		handover.End()
+	// Cleanup is best effort: the caller sees the migration's error, and
+	// anti-entropy repairs whatever a failed cleanup leaves behind.
+	switch {
+	case err == nil:
+	case !wasReplica:
+		// Leave the destination as it was.
 		_ = dst.Archive.Drop(c.authority, path)
-		src.DLFM.AbortExport(path)
+	case c.lastArchived(dst, path) < 0:
+		// Catch-up dropped a diverged replica history and could not refill
+		// it: retire the row too, so no failover picks a replica with
+		// nothing to promote. Anti-entropy re-creates it.
+		_ = dst.DLFM.DropReplica(path)
+	default:
+		// The replica keeps its row and its history, caught up or as it
+		// was; anti-entropy owns them as before.
+	}
+	unlock()
+	handover.End()
+	if err != nil {
+		_ = src.DLFM.EndExport(path, false)
 		return err
 	}
-	handover.End()
 	// The destination owns the path from here: stragglers parked on the
 	// source's freeze fail over via the session retry, new traffic routes by
 	// the override until the ring swap makes it implicit.

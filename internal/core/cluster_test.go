@@ -3,6 +3,8 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -398,5 +400,111 @@ func TestClusterFailAbsorbDead(t *testing.T) {
 		if vs := m.Archive.Versions(c.Authority(), p); len(vs) != 2 {
 			t.Fatalf("%s history after absorb: %d versions, want 2", p, len(vs))
 		}
+	}
+}
+
+// TestClusterMigrateFailureKeepsReplica fails a migration's bundle import on
+// a destination that already replicates the path: the source stays the
+// owner, and the destination keeps the replica row and history it had.
+func TestClusterMigrateFailureKeepsReplica(t *testing.T) {
+	c := newReplCluster(t, 2, nil)
+	const p = "/solo/f.bin"
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	if err := commitUpdate(t, c, 0, "v1 of "+p); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	c.WaitArchives()
+	set := c.ReplicaSet(p)
+	replica, _ := c.Member(set[1])
+	want := memberDigest(t, c, set[1], p)
+	// A regular file where the path's directory belongs makes the
+	// destination's content import fail.
+	if err := replica.SeedFile("/solo", []byte("in the way"), alice); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveServer(set[0]); err == nil {
+		t.Fatal("migration onto a blocked destination succeeded")
+	}
+	if owner, err := c.Owner(p); err != nil || owner != set[0] {
+		t.Fatalf("owner after a failed migration = %s, %v; want %s", owner, err, set[0])
+	}
+	if replica.DLFM.IsLinked(p) {
+		t.Fatal("destination links the path after a failed import")
+	}
+	if got := replica.DLFM.ReplicaVersion(p); got != 1 {
+		t.Fatalf("destination replica row at version %d, want 1", got)
+	}
+	if got := memberDigest(t, c, set[1], p); got != want {
+		t.Fatal("destination replica history changed by a failed migration")
+	}
+	f, err := c.NewSession(alice).OpenRead(docURL(t, c, "DLURLCOMPLETE", 0))
+	if err != nil {
+		t.Fatalf("read after a failed migration: %v", err)
+	}
+	data, _ := f.ReadAll()
+	f.Close()
+	if string(data) != "v1 of "+p {
+		t.Fatalf("%s = %q after a failed migration", p, data)
+	}
+}
+
+// TestClusterMigrateFailureRetiresEmptiedReplica fails a migration after
+// catch-up dropped the destination replica's diverged history and could not
+// refill it (a blob the source cannot read): the destination must not keep a
+// replica row with no history behind it, or a failover would pick it.
+func TestClusterMigrateFailureRetiresEmptiedReplica(t *testing.T) {
+	c := newReplCluster(t, 2, func(cfg *ClusterConfig) {
+		for i := range cfg.Members {
+			// Every archived blob spills to its own file at once, so the
+			// test can take one away from the source.
+			cfg.Members[i].ArchiveDir = t.TempDir()
+			cfg.Members[i].ArchiveMemoryBudget = 1
+			cfg.Members[i].ArchivePackThreshold = -1
+		}
+	})
+	const p = "/solo/f.bin"
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	if err := commitUpdate(t, c, 0, "v1 of "+p); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	c.WaitArchives()
+	set := c.ReplicaSet(p)
+	src, _ := c.Member(set[0])
+	replica, _ := c.Member(set[1])
+	// The source's history no longer holds the replica's last version, so
+	// catch-up must resync from scratch, and the source lost the bytes of
+	// the version it would resync.
+	if err := src.Archive.Drop(c.Authority(), p); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Archive.Put(c.Authority(), p, 5, 1, []byte("v5 of "+p)); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Archive.Drop(c.Authority(), p); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Archive.Put(c.Authority(), p, 0, 1, []byte("foreign v0")); err != nil {
+		t.Fatal(err)
+	}
+	blobDirs, _ := filepath.Glob(filepath.Join(src.Archive.TierDir(), "??"))
+	for _, d := range blobDirs {
+		if err := os.RemoveAll(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.RemoveServer(set[0]); err == nil {
+		t.Fatal("migration with an unreadable source blob succeeded")
+	}
+	if owner, err := c.Owner(p); err != nil || owner != set[0] {
+		t.Fatalf("owner after a failed migration = %s, %v; want %s", owner, err, set[0])
+	}
+	if replica.DLFM.IsLinked(p) {
+		t.Fatal("destination links the path after a failed migration")
+	}
+	if got := replica.DLFM.ReplicaVersion(p); got != -1 {
+		t.Fatalf("destination keeps a replica row at version %d with no history behind it", got)
+	}
+	if n := len(replica.Archive.Versions(c.Authority(), p)); n != 0 {
+		t.Fatalf("destination holds %d versions after a failed resync", n)
 	}
 }

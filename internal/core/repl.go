@@ -5,10 +5,13 @@ package core
 // successors (ring.SuccessorsFor). The owner ships each committed version's
 // delta manifest and missing chunks to the successors synchronously at the
 // 2PC commit barrier (dlfm installs the shardReplicator via SetReplicator);
-// acks gate on a write quorum, each replica gets retry/timeout/backoff
-// through internal/retry, and a lagging replica catches up over
+// acks gate on a write quorum, and every ship — commit, link or unlink — runs
+// one per-replica retry loop (shipTo) and one quorum verdict (shipQuorum). A
+// lagging replica catches up in catchUpReplica over
 // archive.ExportDelta/ImportDelta — O(changed chunks), never a full copy
-// unless the histories diverged. Link and unlink ride the same stream.
+// unless the histories diverged. catchUpReplica is the only code that moves a
+// history between members: live migration (cluster.go) runs it too, so a
+// membership change catches the new owner up like a replica and promotes it.
 //
 // On member death, Failover promotes the first live successor of every
 // orphaned path: the successor already holds the full history and the
@@ -130,15 +133,37 @@ func (c *Cluster) memberRegistry(id string) *metrics.Registry {
 // gates on the write quorum. Called synchronously from the owner's commit
 // path (and from link, with the initial version), so a nil return means a
 // quorum of copies carries the version before the application's close
-// returns.
+// returns. A replica that lags is caught up through the archive delta path
+// before the frame is re-applied.
 func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta dlfm.ReplicaMeta) error {
+	return c.shipQuorum(ctx, owner, path, ver, func(ctx context.Context, id string, retried *bool) error {
+		return c.shipToReplica(ctx, owner, id, path, ver, stateID, snap, mtime, meta, retried)
+	})
+}
+
+// shipUnlink propagates an unlink to the replica set so a later failover
+// cannot resurrect the path. Same quorum policy as commits.
+func (c *Cluster) shipUnlink(owner, path string) error {
+	return c.shipQuorum(context.Background(), owner, path, -1, func(ctx context.Context, id string, retried *bool) error {
+		return c.shipTo(ctx, id, path, retried, func(dst *FileServer) error {
+			return dst.DLFM.ApplyReplicaUnlink(path)
+		})
+	})
+}
+
+// shipQuorum runs one ship to every replica target of path and returns the
+// quorum verdict: nil once the owner's copy plus the acking replicas reach
+// the write quorum. A short quorum wraps the first replica's error, or
+// errMemberDown when every reachable replica acked but too few exist. ver is
+// the shipped version, or -1 for an unlink. Every ship round lands in the
+// owner's repl.ship histogram.
+func (c *Cluster) shipQuorum(ctx context.Context, owner, path string, ver int64, ship func(ctx context.Context, id string, retried *bool) error) error {
 	cfg := c.repl
 	targets := c.replicaTargets(owner, path)
 	if len(targets) == 0 && cfg.quorum <= 1 {
 		return nil
 	}
 	start := time.Now()
-	reg := c.memberRegistry(owner)
 	parent := obs.SpanFrom(ctx)
 	acks := 1 // the owner's own durable copy
 	retried := false
@@ -147,8 +172,7 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		sp := parent.Child("repl.ship")
 		sp.SetAttr("replica", id)
 		sp.SetAttr("version", ver)
-		err := c.shipToReplica(ctx, owner, id, path, ver, stateID, snap, mtime, meta, &retried)
-		if err != nil {
+		if err := ship(ctx, id, &retried); err != nil {
 			sp.SetAttr("error", err.Error())
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %s: %w", id, err)
@@ -161,7 +185,7 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		}
 		sp.End()
 	}
-	if reg != nil {
+	if reg := c.memberRegistry(owner); reg != nil {
 		reg.Histogram("repl.ship").Observe(time.Since(start))
 		if retried {
 			reg.Counter("repl.quorum_waits").Inc()
@@ -172,16 +196,43 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		if err == nil {
 			err = errMemberDown
 		}
-		return fmt.Errorf("core: quorum %d/%d for %s v%d: %w", acks, cfg.quorum, path, ver, err)
+		what := "unlink"
+		if ver >= 0 {
+			what = fmt.Sprintf("v%d", ver)
+		}
+		return fmt.Errorf("core: quorum %d/%d for %s %s: %w", acks, cfg.quorum, path, what, err)
 	}
 	return nil
 }
 
-// shipToReplica delivers one frame to one replica with retry/backoff. The
-// chaos hook strikes each attempt (a dropped or reset frame surfaces as the
-// same ErrConnLost class the upcall wire produces), and a lagging replica is
-// caught up through the archive delta path before the frame is re-applied.
+// shipToReplica delivers one committed version to one replica, catching a
+// lagging replica up through the archive delta path before re-applying.
 func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta dlfm.ReplicaMeta, retried *bool) error {
+	return c.shipTo(ctx, id, path, retried, func(dst *FileServer) error {
+		src, err := c.router.member(owner)
+		if err != nil {
+			return fmt.Errorf("%w: %v", errMemberDown, err)
+		}
+		err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
+		if errors.Is(err, dlfm.ErrReplicaLag) {
+			n, cerr := c.catchUpReplica(src, dst, path)
+			src.DLFM.Metrics().Counter("repl.lag_versions").Add(int64(n))
+			if cerr != nil {
+				return cerr
+			}
+			err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
+		}
+		return err
+	})
+}
+
+// shipTo runs one replica-side step against replica id with retry/backoff:
+// the per-replica loop every ship shares. The chaos hook strikes each
+// attempt (a dropped or reset frame surfaces as the same ErrConnLost class
+// the upcall wire produces), an unroutable replica is errMemberDown, the
+// step runs under the replica's per-path lock, and classifyShip decides
+// whether a failure is worth repeating. A retry sets *retried.
+func (c *Cluster) shipTo(ctx context.Context, id, path string, retried *bool, step func(dst *FileServer) error) error {
 	p := c.repl.policy
 	prevOnRetry := p.OnRetry
 	p.OnRetry = func(attempt int, err error, delay time.Duration) {
@@ -200,117 +251,51 @@ func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver
 		if err != nil {
 			return fmt.Errorf("%w: %v", errMemberDown, err)
 		}
-		src, err := c.router.member(owner)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errMemberDown, err)
-		}
 		if c.replicaApplyHook != nil {
 			c.replicaApplyHook(id)
 		}
-		return onReplica(dst, path, func() error {
-			err := dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
-			if errors.Is(err, dlfm.ErrReplicaLag) {
-				if err := c.catchUpReplica(src, dst, path); err != nil {
-					return err
-				}
-				err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
-			}
-			return err
-		})
+		return onReplica(dst, path, func() error { return step(dst) })
 	})
 }
 
-// shipUnlink propagates an unlink to the replica set so a later failover
-// cannot resurrect the path. Same quorum policy as commits.
-func (c *Cluster) shipUnlink(owner, path string) error {
-	cfg := c.repl
-	targets := c.replicaTargets(owner, path)
-	if len(targets) == 0 && cfg.quorum <= 1 {
-		return nil
-	}
-	acks := 1
-	var firstErr error
-	for _, id := range targets {
-		id := id
-		err := retry.Do(context.Background(), cfg.policy, classifyShip,
-			func(context.Context) error {
-				if ch := cfg.chaos; ch != nil {
-					if err := ch.Strike(); err != nil {
-						return err
-					}
-				}
-				dst, err := c.router.member(id)
-				if err != nil {
-					return fmt.Errorf("%w: %v", errMemberDown, err)
-				}
-				return onReplica(dst, path, func() error { return dst.DLFM.ApplyReplicaUnlink(path) })
-			})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %s: %w", id, err)
-			}
-		} else {
-			acks++
+// catchUpReplica is the one history mover between members: it brings dst's
+// archive history for path up to src's and returns how many versions moved.
+// A delta of the missing versions when the histories share a prefix
+// (O(changed chunks)); a full resync — drop, then the same transfer from
+// base -1 — when they diverged (restore/truncate) or dst holds nothing yet.
+// Replica ships, anti-entropy and migration all run it; the caller holds
+// dst's per-path replica lock.
+func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) (int, error) {
+	base := c.lastArchived(dst, path)
+	for {
+		recs, err := src.Archive.ExportDelta(c.authority, path, base)
+		var st archive.ImportStats
+		if err == nil && len(recs) > 0 {
+			st, err = dst.Archive.ImportDelta(c.authority, path, base, recs, src.Archive.FetchBlob)
 		}
-	}
-	if acks < cfg.quorum {
-		return fmt.Errorf("core: unlink quorum %d/%d for %s: %w", acks, cfg.quorum, path, firstErr)
-	}
-	return nil
-}
-
-// catchUpReplica brings dst's archive history for path up to src's: a delta
-// of the missing versions when the histories share a prefix (O(changed
-// chunks)), a full resync when they diverged (restore/truncate) or dst holds
-// nothing yet. The repl.lag_versions counter on the owner records how many
-// versions had to travel outside the synchronous ship.
-func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) error {
-	reg := src.DLFM.Metrics()
-	fullResync := func(drop bool) error {
-		if drop {
+		if errors.Is(err, archive.ErrChainGap) && base >= 0 {
+			// The histories diverged: resync from scratch.
 			if err := dst.Archive.Drop(c.authority, path); err != nil {
-				return err
+				return 0, err
 			}
+			base = -1
+			continue
 		}
-		recs := src.Archive.ExportHistory(c.authority, path)
-		if len(recs) == 0 {
-			return nil
-		}
-		reg.Counter("repl.lag_versions").Add(int64(len(recs)))
-		_, err := dst.Archive.ImportHistory(c.authority, path, recs, src.Archive.FetchBlob)
 		if errors.Is(err, archive.ErrStale) {
 			// Another shipper landed the history first — that is the goal.
-			return nil
+			err = nil
 		}
-		return err
+		return st.Versions, err
 	}
+}
 
-	have := int64(-1)
-	if vs := dst.Archive.Versions(c.authority, path); len(vs) > 0 {
-		have = int64(vs[len(vs)-1].Version)
+// lastArchived is the newest version m's archive holds for path (-1: none).
+func (c *Cluster) lastArchived(m *FileServer, path string) int64 {
+	vs := m.Archive.Versions(c.authority, path)
+	if len(vs) == 0 {
+		return -1
 	}
-	if have < 0 {
-		return fullResync(false)
-	}
-	recs, err := src.Archive.ExportDelta(c.authority, path, have)
-	if errors.Is(err, archive.ErrChainGap) {
-		return fullResync(true)
-	}
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	reg.Counter("repl.lag_versions").Add(int64(len(recs)))
-	_, err = dst.Archive.ImportDelta(c.authority, path, recs, src.Archive.FetchBlob)
-	if errors.Is(err, archive.ErrChainGap) {
-		return fullResync(true)
-	}
-	if errors.Is(err, archive.ErrStale) {
-		return nil
-	}
-	return err
+	return int64(vs[len(vs)-1].Version)
 }
 
 // ReplicaSet reports the members that should hold copies of path: the
@@ -346,7 +331,7 @@ func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 	c.router.rebalanceMu.Lock()
 	defer c.router.rebalanceMu.Unlock()
 	start := time.Now()
-	cur := c.router.currentRing()
+	cur := c.router.Ring()
 	if !cur.Has(id) {
 		return nil, fmt.Errorf("core: member %q is not on the ring", id)
 	}
@@ -442,10 +427,7 @@ func (c *Cluster) FlushReplication() error {
 			if c.router.placementID(p) != sid {
 				continue
 			}
-			srcLast := int64(-1)
-			if vs := m.Archive.Versions(c.authority, p); len(vs) > 0 {
-				srcLast = int64(vs[len(vs)-1].Version)
-			}
+			srcLast := c.lastArchived(m, p)
 			if srcLast < 0 {
 				continue // mode without archive history: nothing to replicate
 			}
@@ -503,10 +485,7 @@ func (c *Cluster) FlushReplication() error {
 // restored owner resyncs from scratch.
 func (c *Cluster) syncReplica(src, dst *FileServer, path string, srcLast int64, mtime time.Time, meta dlfm.ReplicaMeta) error {
 	return onReplica(dst, path, func() error {
-		have := int64(-1)
-		if vs := dst.Archive.Versions(c.authority, path); len(vs) > 0 {
-			have = int64(vs[len(vs)-1].Version)
-		}
+		have := c.lastArchived(dst, path)
 		if have > srcLast {
 			if err := dst.Archive.Drop(c.authority, path); err != nil {
 				return err
@@ -514,7 +493,9 @@ func (c *Cluster) syncReplica(src, dst *FileServer, path string, srcLast int64, 
 			have = -1
 		}
 		if have < srcLast {
-			if err := c.catchUpReplica(src, dst, path); err != nil {
+			n, err := c.catchUpReplica(src, dst, path)
+			src.DLFM.Metrics().Counter("repl.lag_versions").Add(int64(n))
+			if err != nil {
 				return err
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/archive"
 	"datalinks/internal/datalink"
 	"datalinks/internal/dlfm"
 	"datalinks/internal/retry"
@@ -622,5 +623,247 @@ func TestShipToOwningReplicaFailsFast(t *testing.T) {
 	err = c.shipToReplica(context.Background(), owner.Name, replica.Name, p, 2, 0, nil, time.Now(), dlfm.ReplicaMeta{}, &retried)
 	if !errors.Is(err, dlfm.ErrReplicaOwned) || retried {
 		t.Fatalf("ship to an owning replica: err = %v retried = %v, want ErrReplicaOwned on the first attempt", err, retried)
+	}
+}
+
+// seedReplicated links n RDD paths with one commit each on a replicated
+// cluster and returns them with their owners' history digests.
+func seedReplicated(t *testing.T, c *Cluster, n int) ([]string, map[string]string) {
+	t.Helper()
+	paths := clusterPaths(n)
+	for i, p := range paths {
+		linkDoc(t, c, i, p, "v0 of "+p)
+		if err := commitUpdate(t, c, i, "v1 of "+p); err != nil {
+			t.Fatalf("commit %s: %v", p, err)
+		}
+	}
+	c.WaitArchives()
+	digests := make(map[string]string, n)
+	onFs2 := 0
+	for _, p := range paths {
+		digests[p] = historyDigest(t, c, p)
+		if owner, _ := c.Owner(p); owner == "fs2" {
+			onFs2++
+		}
+	}
+	if onFs2 == 0 {
+		t.Fatal("hash placed no test path on fs2")
+	}
+	return paths, digests
+}
+
+// assertMembershipPreserved checks the state a membership change must leave
+// behind: every path serves its last acked content, no member is both owner
+// and replica of a path, replica sets match their owners, and no history
+// changed.
+func assertMembershipPreserved(t *testing.T, c *Cluster, paths []string, digests map[string]string) {
+	t.Helper()
+	sess := c.NewSession(alice)
+	for i, p := range paths {
+		f, err := sess.OpenRead(docURL(t, c, "DLURLCOMPLETE", i))
+		if err != nil {
+			t.Fatalf("read %s: %v", p, err)
+		}
+		data, _ := f.ReadAll()
+		f.Close()
+		if string(data) != "v1 of "+p {
+			t.Fatalf("%s = %q, want the acked v1", p, data)
+		}
+	}
+	for _, id := range c.Members() {
+		m, _ := c.Member(id)
+		for _, p := range m.DLFM.ReplicaPaths() {
+			if m.DLFM.IsLinked(p) {
+				t.Fatalf("%s both owns and replicates %s", id, p)
+			}
+		}
+	}
+	assertReplicasConverged(t, c, paths)
+	for _, p := range paths {
+		if got := historyDigest(t, c, p); got != digests[p] {
+			t.Fatalf("%s history digest changed across the membership change", p)
+		}
+	}
+}
+
+// TestRemoveServerWithReplicas drains a member whose paths' new owners are
+// their first ring successors — members that already hold the replica. The
+// migration catches each one up and promotes it instead of refusing it.
+func TestRemoveServerWithReplicas(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	paths, digests := seedReplicated(t, c, 18)
+	if err := c.RemoveServer("fs2"); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	if got := strings.Join(c.Members(), ","); got != "fs1,fs3" {
+		t.Fatalf("members after remove: %s", got)
+	}
+	assertMembershipPreserved(t, c, paths, digests)
+}
+
+// TestAbsorbDeadWithReplicas cold-starts a failed member and moves its paths
+// onto survivors that already replicate them.
+func TestAbsorbDeadWithReplicas(t *testing.T) {
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+		for i := range cfg.Members {
+			cfg.Members[i].RepoDir = t.TempDir()
+			cfg.Members[i].ArchiveDir = t.TempDir()
+		}
+	})
+	paths, digests := seedReplicated(t, c, 18)
+	if err := c.FailServer("fs2"); err != nil {
+		t.Fatalf("fail: %v", err)
+	}
+	if err := c.AbsorbDead("fs2"); err != nil {
+		t.Fatalf("absorb: %v", err)
+	}
+	if got := strings.Join(c.Members(), ","); got != "fs1,fs3" {
+		t.Fatalf("members after absorb: %s", got)
+	}
+	assertMembershipPreserved(t, c, paths, digests)
+}
+
+// TestAbsorbDeadKeepsAckedUnarchivedCommit fails a member whose last commit
+// a write quorum acked but whose own archive never took it: the cold start
+// walks the member's version back to what its archive holds, so the survivor
+// that replicates the path is ahead of it. Absorbing must keep the acked
+// version — that replica is promoted, not resynced from the shorter history.
+func TestAbsorbDeadKeepsAckedUnarchivedCommit(t *testing.T) {
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+		for i := range cfg.Members {
+			cfg.Members[i].RepoDir = t.TempDir()
+			cfg.Members[i].ArchiveDir = t.TempDir()
+		}
+	})
+	paths, digests := seedReplicated(t, c, 18)
+	doc := -1
+	for i, p := range paths {
+		if owner, _ := c.Owner(p); owner == "fs2" {
+			doc = i
+			break
+		}
+	}
+	p := paths[doc]
+	fs2, _ := c.Member("fs2")
+	replicaID := c.ReplicaSet(p)[1]
+	replica, _ := c.Member(replicaID)
+	// fs2's archive device dies first: the commit is acked by fs2 and its
+	// replica, and fs2's archive job for it fails.
+	fs2.Archive.Crash()
+	if err := commitUpdate(t, c, doc, "v2 of "+p); err != nil {
+		t.Fatalf("commit with the owner's archive down: %v", err)
+	}
+	c.WaitArchives()
+	if got := c.lastArchived(fs2, p); got != 1 {
+		t.Fatalf("owner archived up to v%d, want v1 (its archive job must fail)", got)
+	}
+	if got := replica.DLFM.ReplicaVersion(p); got != 2 {
+		t.Fatalf("replica %s at v%d, want the acked v2", replicaID, got)
+	}
+	digests[p] = memberDigest(t, c, replicaID, p)
+	if err := c.FailServer("fs2"); err != nil {
+		t.Fatalf("fail: %v", err)
+	}
+	if err := c.AbsorbDead("fs2"); err != nil {
+		t.Fatalf("absorb: %v", err)
+	}
+	if owner, err := c.Owner(p); err != nil || owner != replicaID {
+		t.Fatalf("owner of %s after absorb = %s, %v; want the promoted replica %s", p, owner, err, replicaID)
+	}
+	f, err := c.NewSession(alice).OpenRead(docURL(t, c, "DLURLCOMPLETE", doc))
+	if err != nil {
+		t.Fatalf("read %s: %v", p, err)
+	}
+	data, _ := f.ReadAll()
+	f.Close()
+	if string(data) != "v2 of "+p {
+		t.Fatalf("%s = %q after absorb, want the acked v2", p, data)
+	}
+	assertReplicasConverged(t, c, paths)
+	for _, q := range paths {
+		if got := historyDigest(t, c, q); got != digests[q] {
+			t.Fatalf("%s history digest changed across the absorb", q)
+		}
+	}
+}
+
+// TestUnlinkQuorumShortOfTargets ships an unlink when fewer replica targets
+// exist than the quorum needs and every one of them acks: the shortfall is
+// a member-down verdict, not an error wrapping nothing.
+func TestUnlinkQuorumShortOfTargets(t *testing.T) {
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) { cfg.Replicas = 3 })
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	c.WaitArchives()
+	if err := c.FailServer("fs3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Failover("fs3"); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	owner, err := c.Owner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.shipUnlink(owner, p); !errors.Is(err, errMemberDown) {
+		t.Fatalf("unlink short of replica targets: err = %v, want errMemberDown", err)
+	}
+}
+
+// TestReplicationCatchUpResyncsDivergedHistory gives a replica a history
+// that does not extend its owner's, as after the owner restored to an older
+// point: the one history mover drops it, resyncs from scratch, and reports
+// the versions it moved.
+func TestReplicationCatchUpResyncsDivergedHistory(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	if err := commitUpdate(t, c, 0, "v1 of "+p); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	c.WaitArchives()
+	set := c.ReplicaSet(p)
+	src, _ := c.Member(set[0])
+	dst, _ := c.Member(set[1])
+	if err := dst.Archive.Drop(c.Authority(), p); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{0, 5} {
+		if err := dst.Archive.Put(c.Authority(), p, archive.Version(v), 1, []byte(fmt.Sprintf("foreign v%d", v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catchUp := func() (int, error) {
+		defer dst.DLFM.LockReplica(p)()
+		return c.catchUpReplica(src, dst, p)
+	}
+	if n, err := catchUp(); err != nil || n != 2 {
+		t.Fatalf("catch-up of a diverged replica: moved %d versions, err %v; want a 2-version resync", n, err)
+	}
+	if got, want := memberDigest(t, c, set[1], p), memberDigest(t, c, set[0], p); got != want {
+		t.Fatalf("replica digest %s != owner digest %s after resync", got[:12], want[:12])
+	}
+	if n, err := catchUp(); err != nil || n != 0 {
+		t.Fatalf("catch-up of a caught-up replica: moved %d versions, err %v; want 0", n, err)
+	}
+	// A ship to a replica that lost its history catches it up and applies the
+	// frame in the same attempt: no retry, no quorum wait.
+	if err := dst.Archive.Drop(c.Authority(), p); err != nil {
+		t.Fatal(err)
+	}
+	waits := src.DLFM.Metrics().Counter("repl.quorum_waits").Value()
+	lag := src.DLFM.Metrics().Counter("repl.lag_versions").Value()
+	if err := commitUpdate(t, c, 0, "v2 of "+p); err != nil {
+		t.Fatalf("commit to a lagging replica: %v", err)
+	}
+	if n := src.DLFM.Metrics().Counter("repl.quorum_waits").Value() - waits; n != 0 {
+		t.Fatalf("lag catch-up needed %d retried ships, want 0", n)
+	}
+	if src.DLFM.Metrics().Counter("repl.lag_versions").Value() == lag {
+		t.Fatal("lag catch-up not counted in repl.lag_versions")
+	}
+	c.WaitArchives()
+	if got, want := memberDigest(t, c, set[1], p), memberDigest(t, c, set[0], p); got != want {
+		t.Fatalf("replica digest %s != owner digest %s after the lagging ship", got[:12], want[:12])
 	}
 }

@@ -63,8 +63,6 @@ func (r *Router) Ring() *ring.Ring {
 	return r.ring
 }
 
-func (r *Router) currentRing() *ring.Ring { return r.Ring() }
-
 // successorsFor returns the first n distinct members on the current ring at
 // or after path's hash — index 0 is the owner, the rest are its replica
 // successors in promotion order.

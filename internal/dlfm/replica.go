@@ -228,9 +228,14 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 }
 
 // EnsureReplicaRow upserts the dlfm_replicas row for path at version ver.
-// Rows never move backwards: a stale frame leaves a newer row untouched.
+// Rows never move backwards: a stale frame leaves a newer row untouched. A
+// path linked here is refused with ErrReplicaOwned: its owner must never
+// also list it as a replica.
 func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) (err error) {
 	defer s.survive(&err)
+	if _, linked := s.lookupFile(path); linked {
+		return fmt.Errorf("%w: replica row %s on %s", ErrReplicaOwned, path, s.cfg.Name)
+	}
 	if ri, ok := s.replicaRow(path); ok {
 		if ri.version >= ver {
 			return nil
@@ -276,11 +281,10 @@ func (s *Server) DropReplica(path string) error {
 }
 
 // PromoteReplica turns a replica into the served copy: latest archived
-// content is materialized with the stored identity and mtime (the same
-// sequence as a shard import — mtime last, because modification detection
-// compares against it at the next write open), the dlfm_files row appears,
-// and the replica row is retired. No upcall to the old owner, no archive
-// transfer: everything needed is already local.
+// content is materialized with the stored identity and mtime through
+// ImportBundle — the step a migration's destination runs too — so the
+// dlfm_files row appears and the replica row retires together. No upcall to
+// the old owner, no archive transfer: everything needed is already local.
 func (s *Server) PromoteReplica(path string) error {
 	ri, ok := s.replicaRow(path)
 	if !ok {
@@ -298,21 +302,8 @@ func (s *Server) PromoteReplica(path string) error {
 		return fmt.Errorf("dlfm: promote %s: %w", path, err)
 	}
 	defer snap.Release()
-	b := &FileBundle{
-		Path:     path,
-		Mode:     ri.meta.Mode,
-		Recovery: ri.meta.Recovery,
-		TokenTTL: ri.meta.TokenTTL,
-		OrigUID:  ri.meta.OrigUID,
-		OrigMode: ri.meta.OrigMode,
-		Version:  int64(entry.Version),
-		Content:  snap,
-		Mtime:    ri.mtime,
-	}
+	b := &FileBundle{Path: path, ReplicaMeta: ri.meta, Version: int64(entry.Version), Content: snap, Mtime: ri.mtime}
 	if err := s.ImportBundle(b); err != nil {
-		return fmt.Errorf("dlfm: promote %s: %w", path, err)
-	}
-	if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
 		return fmt.Errorf("dlfm: promote %s: %w", path, err)
 	}
 	s.cfg.Metrics.Counter("dlfm.repl.promotions").Inc()

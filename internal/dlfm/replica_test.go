@@ -96,6 +96,14 @@ func TestReplicaApplyRejectsOwnedPath(t *testing.T) {
 	if err := src.ApplyReplicaCommit("/d/f.bin", ver, 1, snap, mtime, meta); err == nil {
 		t.Fatal("replica apply over an owned path succeeded")
 	}
+	// The anti-entropy row upsert refuses too: a replica row on the owner
+	// would later be pruned together with the owner's own archive history.
+	if err := src.EnsureReplicaRow("/d/f.bin", ver, mtime, meta); !errors.Is(err, ErrReplicaOwned) {
+		t.Fatalf("replica row over an owned path: %v, want ErrReplicaOwned", err)
+	}
+	if len(src.ReplicaPaths()) != 0 {
+		t.Fatal("owner lists its own path as a replica")
+	}
 }
 
 func TestReplicaPromoteServes(t *testing.T) {
@@ -111,8 +119,11 @@ func TestReplicaPromoteServes(t *testing.T) {
 
 	dst, dstPhys := newShardPeer(t)
 	// Replica histories build version by version, as the shipper delivers.
-	recs := src.cfg.Archive.ExportHistory("fs1", "/d/f.bin")
-	if _, err := dst.cfg.Archive.ImportHistory("fs1", "/d/f.bin", recs, src.cfg.Archive.FetchBlob); err != nil {
+	recs, err := src.cfg.Archive.ExportDelta("fs1", "/d/f.bin", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.cfg.Archive.ImportDelta("fs1", "/d/f.bin", -1, recs, src.cfg.Archive.FetchBlob); err != nil {
 		t.Fatal(err)
 	}
 	meta, ver, mtime, err := src.FileMeta("/d/f.bin")

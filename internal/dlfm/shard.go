@@ -5,26 +5,28 @@ import (
 	"strings"
 	"time"
 
-	"datalinks/internal/datalink"
 	"datalinks/internal/extent"
-	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 )
 
 // Shard handoff: the per-path half of live migration between DLFM servers.
-// The protocol is freeze → export → import → evict:
+// The protocol is freeze → catch up → promote → evict:
 //
 //   - BeginExport drains the path (waits for in-flight opens and archive jobs
 //     exactly like a write open would) and then freezes it by installing a
 //     sentinel writer, so every later open parks on the path's wait queue
-//     until the migration ends. It returns a bundle: the repository row plus
-//     an O(#chunks) snapshot of the current content.
-//   - The caller moves the archive history separately (archive.ExportHistory/
-//     ImportHistory — chunk bytes travel by hash, deduped).
-//   - ImportBundle replays the bundle on the destination: content, ownership,
+//     until the migration ends. It returns a bundle: the promotion identity
+//     and version, plus an O(#chunks) snapshot of the current content.
+//   - The caller catches the destination's archive history up exactly as it
+//     catches a lagging replica up (archive.ExportDelta/ImportDelta — chunk
+//     bytes travel by hash, deduped; a destination that already replicates
+//     the path receives only what it lacks).
+//   - ImportBundle promotes the destination: content, ownership,
 //     permissions, and — critically — the source's mtime, because mtime is how
 //     commit detects modification (§4.4); a fresh mtime would make the next
-//     writer's no-op close look like a real update.
+//     writer's no-op close look like a real update. The destination's replica
+//     row, if any, retires in the same repository transaction — the same step
+//     PromoteReplica runs at failover.
 //   - EndExport either evicts the path from the source (rows deleted, phys
 //     file removed, tokens purged) or aborts the export, and in both cases
 //     lifts the freeze.
@@ -35,19 +37,16 @@ import (
 
 // exportSentinel is the writer id installed by BeginExport. It is never a
 // real open id (real ids are monotonic counters shifted by the shard bits, so
-// reaching all-ones would take centuries of opens), so nothing but EndExport/
-// AbortExport can clear it.
+// reaching all-ones would take centuries of opens), so nothing but EndExport
+// can clear it.
 const exportSentinel = ^uint64(0)
 
-// FileBundle is the portable per-path repository state.
+// FileBundle is the portable per-path repository state: the promotion
+// identity a replica row carries, plus the version, content and mtime.
 type FileBundle struct {
-	Path     string
-	Mode     datalink.ControlMode
-	Recovery bool
-	TokenTTL int
-	OrigUID  fs.UID
-	OrigMode fs.FileMode
-	Version  int64
+	Path string
+	ReplicaMeta
+	Version int64
 	// Content is the current physical content (the committed state — the
 	// drain guarantees no update is in flight). The receiver of the bundle
 	// owns it and must Release it (ImportBundle does not consume it).
@@ -64,7 +63,7 @@ func (b *FileBundle) Release() {
 }
 
 // BeginExport drains and freezes a linked path, returning its bundle. On
-// success the path rejects every new open until EndExport or AbortExport.
+// success the path rejects every new open until EndExport.
 // Returns ErrFileBusy if the drain exceeds the configured open wait, and
 // ErrNotLinked if the path is not (or no longer) linked.
 func (s *Server) BeginExport(path string) (*FileBundle, error) {
@@ -97,40 +96,18 @@ func (s *Server) BeginExport(path string) (*FileBundle, error) {
 
 	// Re-read the row after the freeze: the path may have been unlinked while
 	// the drain waited.
-	fi, linked := s.lookupFile(path)
-	if !linked {
+	meta, ver, mtime, err := s.FileMeta(path)
+	if err != nil {
 		unfreeze()
-		return nil, fmt.Errorf("%w: %s", ErrNotLinked, path)
+		return nil, err
 	}
 	snap, err := s.cfg.Phys.SnapshotFile(path)
 	if err != nil {
 		unfreeze()
 		return nil, fmt.Errorf("dlfm: export snapshot %s: %w", path, err)
 	}
-	node, err := s.cfg.Phys.Lookup(path)
-	if err != nil {
-		snap.Release()
-		unfreeze()
-		return nil, err
-	}
-	attr, err := s.cfg.Phys.Getattr(node)
-	if err != nil {
-		snap.Release()
-		unfreeze()
-		return nil, err
-	}
 	s.cfg.Metrics.Counter("dlfm.shard.exports").Inc()
-	return &FileBundle{
-		Path:     path,
-		Mode:     fi.mode,
-		Recovery: fi.recovery,
-		TokenTTL: fi.tokenTTL,
-		OrigUID:  fi.origUID,
-		OrigMode: fi.origMode,
-		Version:  int64(fi.version),
-		Content:  snap,
-		Mtime:    attr.Mtime,
-	}, nil
+	return &FileBundle{Path: path, ReplicaMeta: meta, Version: ver, Content: snap, Mtime: mtime}, nil
 }
 
 // EndExport concludes an export begun by BeginExport. With evict the path is
@@ -167,17 +144,13 @@ func (s *Server) EndExport(path string, evict bool) error {
 	return firstErr
 }
 
-// AbortExport lifts the freeze without evicting (the migration failed before
-// the destination took over).
-func (s *Server) AbortExport(path string) {
-	_ = s.EndExport(path, false)
-}
-
-// ImportBundle establishes a migrated path on this server: physical content
-// with the source's mtime, at-rest ownership and permissions, and the
-// repository row. The bundle's content is not consumed. The path must not
-// already be linked here. Like ReconcileLinks, this runs outside 2PC — the
-// migration protocol above it owns atomicity.
+// ImportBundle establishes a migrated or promoted path on this server:
+// physical content with the source's mtime, at-rest ownership and
+// permissions, and the repository row. Any dlfm_replicas row for the path
+// retires in the same repository transaction, so this server ends as the
+// path's owner, never as owner and replica both. The bundle's content is not
+// consumed. The path must not already be linked here. Like ReconcileLinks,
+// this runs outside 2PC — the migration protocol above it owns atomicity.
 func (s *Server) ImportBundle(b *FileBundle) error {
 	if _, linked := s.lookupFile(b.Path); linked {
 		return fmt.Errorf("%w: import of %s", ErrAlreadyLinked, b.Path)
@@ -210,12 +183,21 @@ func (s *Server) ImportBundle(b *FileBundle) error {
 	if err := s.cfg.Phys.SetMtime(node, b.Mtime); err != nil {
 		return err
 	}
-	if _, err := s.repo.Exec(
+	tx := s.repo.Begin()
+	if _, err := tx.Exec(
 		`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
 		 VALUES (?, ?, ?, ?, ?, ?, ?)`,
 		sqlmini.Str(b.Path), sqlmini.Str(b.Mode.String()), sqlmini.Bool(b.Recovery),
 		sqlmini.Int(int64(b.TokenTTL)), sqlmini.Int(int64(b.OrigUID)), sqlmini.Int(int64(b.OrigMode)),
 		sqlmini.Int(b.Version)); err != nil {
+		_ = tx.Abort()
+		return fmt.Errorf("dlfm: import row %s: %w", b.Path, err)
+	}
+	if _, err := tx.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(b.Path)); err != nil {
+		_ = tx.Abort()
+		return fmt.Errorf("dlfm: import row %s: %w", b.Path, err)
+	}
+	if err := tx.Commit(); err != nil {
 		return fmt.Errorf("dlfm: import row %s: %w", b.Path, err)
 	}
 	s.cfg.Metrics.Counter("dlfm.shard.imports").Inc()

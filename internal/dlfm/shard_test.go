@@ -32,7 +32,9 @@ func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 }
 
 // migrate runs the full per-path handoff between two servers, the way the
-// cluster router does: freeze+export, archive history, bundle import, evict.
+// cluster router does: freeze+export, catch the destination's archive
+// history up from whatever it holds (a replica's history, or none), bundle
+// import, evict.
 func migrate(t *testing.T, src, dst *Server, path string) {
 	t.Helper()
 	b, err := src.BeginExport(path)
@@ -40,13 +42,21 @@ func migrate(t *testing.T, src, dst *Server, path string) {
 		t.Fatalf("begin export: %v", err)
 	}
 	defer b.Release()
-	recs := src.cfg.Archive.ExportHistory("fs1", path)
-	if _, err := dst.cfg.Archive.ImportHistory("fs1", path, recs, src.cfg.Archive.FetchBlob); err != nil {
-		src.AbortExport(path)
+	base := int64(-1)
+	if vs := dst.cfg.Archive.Versions("fs1", path); len(vs) > 0 {
+		base = int64(vs[len(vs)-1].Version)
+	}
+	recs, err := src.cfg.Archive.ExportDelta("fs1", path, base)
+	if err != nil {
+		_ = src.EndExport(path, false)
+		t.Fatalf("export history: %v", err)
+	}
+	if _, err := dst.cfg.Archive.ImportDelta("fs1", path, base, recs, src.cfg.Archive.FetchBlob); err != nil {
+		_ = src.EndExport(path, false)
 		t.Fatalf("import history: %v", err)
 	}
 	if err := dst.ImportBundle(b); err != nil {
-		src.AbortExport(path)
+		_ = src.EndExport(path, false)
 		t.Fatalf("import bundle: %v", err)
 	}
 	if err := src.EndExport(path, true); err != nil {
@@ -151,7 +161,9 @@ func TestBeginExportDrainsAndTimesOut(t *testing.T) {
 		t.Fatalf("export after drain: %v", err)
 	}
 	b.Release()
-	src.AbortExport("/d/f.bin")
+	if err := src.EndExport("/d/f.bin", false); err != nil {
+		t.Fatalf("end export: %v", err)
+	}
 }
 
 func TestExportFreezeBlocksOpensUntilAbort(t *testing.T) {
@@ -179,7 +191,9 @@ func TestExportFreezeBlocksOpensUntilAbort(t *testing.T) {
 	if opened.Load() {
 		t.Fatal("open proceeded under export freeze")
 	}
-	src.AbortExport("/d/f.bin")
+	if err := src.EndExport("/d/f.bin", false); err != nil {
+		t.Fatalf("end export: %v", err)
+	}
 	resp := <-done
 	if !resp.OK {
 		t.Fatalf("open after aborted export: %+v", resp)
@@ -234,12 +248,47 @@ func TestImportBundleRejectsLinkedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Release()
-	defer src.AbortExport("/d/f.bin")
+	defer src.EndExport("/d/f.bin", false)
 	dst, dstPhys := newShardPeer(t)
 	dstPhys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	seedFile(t, dstPhys, "/d/f.bin", "local")
 	linkCommitted(t, dst, "/d/f.bin", "rfd")
 	if err := dst.ImportBundle(b); !errors.Is(err, ErrAlreadyLinked) {
 		t.Fatalf("import over linked path = %v, want ErrAlreadyLinked", err)
+	}
+}
+
+// TestImportBundleRetiresReplicaRow migrates a path onto a server that
+// already replicates it: the history is caught up by delta, and the import
+// leaves the destination an owner only — a server that both linked and
+// replicated a path would have its history pruned as a stale replica.
+func TestImportBundleRetiresReplicaRow(t *testing.T) {
+	src, srcPhys, _ := newServer(t)
+	linkCommitted(t, src, "/d/f.bin", "rfd")
+	dst, dstPhys := newShardPeer(t)
+	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	id := openWrite(t, src, "/d/f.bin", owner)
+	srcPhys.WriteFile("/d/f.bin", []byte("v1"))
+	if resp := closeFile(t, src, srcPhys, "/d/f.bin", id); !resp.OK {
+		t.Fatalf("close: %+v", resp)
+	}
+	src.WaitArchives()
+	if got := dst.ReplicaVersion("/d/f.bin"); got != 0 {
+		t.Fatalf("replica at version %d before the move, want 0", got)
+	}
+
+	migrate(t, src, dst, "/d/f.bin")
+	if !dst.IsLinked("/d/f.bin") {
+		t.Fatal("destination not linked after import")
+	}
+	if got := dst.ReplicaVersion("/d/f.bin"); got != -1 || len(dst.ReplicaPaths()) != 0 {
+		t.Fatalf("replica row survived the import (version %d)", got)
+	}
+	if data, err := dstPhys.ReadFile("/d/f.bin"); err != nil || string(data) != "v1" {
+		t.Fatalf("destination content = %q, %v", data, err)
+	}
+	vs := dst.cfg.Archive.Versions("fs1", "/d/f.bin")
+	if len(vs) != 2 || string(vs[1].Content()) != "v1" {
+		t.Fatalf("destination history: %d versions, want the replica's v0 plus the caught-up v1", len(vs))
 	}
 }

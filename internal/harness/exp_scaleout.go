@@ -424,7 +424,7 @@ func runE21() ([]*Table, error) {
 		fmt.Sprintf("%d", movesQuiesced),
 		fmt.Sprintf("%d", mismatched),
 	)
-	reb.Note("a move drains the path's in-flight opens, freezes it, hands the archive history over chunk-deduped, imports the repository row, and evicts the source; a forward is an op that waited out a move gate")
+	reb.Note("a move drains the path's in-flight opens, freezes it, catches the new owner's archive history up through the replication delta path (chunk-deduped), imports the repository row, and evicts the source; a forward is an op that waited out a move gate")
 	reb.Note("history digests hash (version, length, bytes) of every archived version before and after the quiesced migration — byte fidelity, not just latest-content equality")
 
 	tables := []*Table{scale, reb}
